@@ -34,6 +34,7 @@
 #include "core/packing_kernel.h"
 #include "exec/simd/dispatch.h"
 #include "exec/thread_pool.h"
+#include "../tests/scoped_simd_env.h"
 
 namespace bitdec {
 namespace {
@@ -71,7 +72,8 @@ struct ContextResult
     double fused_ms_t8;
     double paged_gather_ms; //!< reference backend over pages; -1 = skipped
     double paged_fused_ms;  //!< fused-paged backend, in place
-    double scalar_twin_ms;  //!< scalar twin of a SIMD backend; -1 = N/A
+    double scalar_twin_ms;  //!< the backend's scalar baseline; -1 = N/A
+    double host_bytes_per_token; //!< packed cache's host bytes; -1 = N/A
 };
 
 /** The scalar twin of a SIMD sibling name; empty for non-siblings. */
@@ -126,16 +128,24 @@ runContext(const backend::AttentionBackend& be, int context, bool smoke,
     b.scale = scale;
     r.fused_ms_t1 = timeMs(reps, [&] { be.decodeStep(b); });
 
-    // SIMD siblings also time their scalar twin on the same batch (the
-    // capability masks are copies, so the binding fits), recording the
-    // vectorization win separately from the vs-legacy speedup.
+    // A SIMD backend also times its scalar baseline on the same batch,
+    // recording the vectorization win separately from the vs-legacy
+    // speedup: a sibling's scalar twin (the capability masks are copies,
+    // so the binding fits), or — for a backend that runs at the enabled
+    // level, like fused-packed — itself under BITDEC_SIMD=scalar.
     r.scalar_twin_ms = -1.0;
     const std::string twin_name = scalarTwinOf(be.name());
     if (!twin_name.empty()) {
         const backend::AttentionBackend& twin =
             backend::BackendRegistry::instance().resolve(twin_name);
         r.scalar_twin_ms = timeMs(reps, [&] { twin.decodeStep(b); });
+    } else if (std::strcmp(be.simdLevel(), "scalar") != 0) {
+        const ScopedSimdEnv scalar("scalar");
+        r.scalar_twin_ms = timeMs(reps, [&] { be.decodeStep(b); });
     }
+    r.host_bytes_per_token = -1.0;
+    if (const kv::PackedHeadCache* packed = b.items[0].packed)
+        r.host_bytes_per_token = packed->hostBytes() / packed->length();
 
     {
         exec::ThreadPool pool4(4);
@@ -219,7 +229,7 @@ main(int argc, char** argv)
                    "%10.3f");
     }
     if (results[0].scalar_twin_ms >= 0) {
-        bench::section("SIMD vs scalar twin (1 thread)");
+        bench::section("SIMD vs scalar (1 thread)");
         bench::head("context", {"scalar", "simd", "speedup"});
         for (const ContextResult& r : results)
             bench::row(std::to_string(r.context / 1024) + "K",
@@ -227,6 +237,10 @@ main(int argc, char** argv)
                         r.scalar_twin_ms / r.fused_ms_t1},
                        "%10.3f");
     }
+    if (results[0].host_bytes_per_token >= 0)
+        std::printf("\npacked cache host bytes per token: %.1f "
+                    "(FP16: %d)\n",
+                    results[0].host_bytes_per_token, 2 * 2 * 128);
     bench::section("paged: fused-paged in place vs reference gather "
                    "(1 thread)");
     bench::head("context", {"gather", "fused"});
@@ -273,10 +287,15 @@ main(int argc, char** argv)
             std::snprintf(gather, sizeof(gather), "null"); // not measured
         else
             std::snprintf(gather, sizeof(gather), "%.4f", r.paged_gather_ms);
+        char host[32];
+        if (r.host_bytes_per_token < 0)
+            std::snprintf(host, sizeof(host), "null"); // not a packed cache
+        else
+            std::snprintf(host, sizeof(host), "%.1f", r.host_bytes_per_token);
         char twin[64];
         if (r.scalar_twin_ms < 0)
             std::snprintf(twin, sizeof(twin),
-                          "\"scalar_twin_ms\": null"); // not a SIMD sibling
+                          "\"scalar_twin_ms\": null"); // runs scalar
         else
             std::snprintf(twin, sizeof(twin),
                           "\"scalar_twin_ms\": %.4f, "
@@ -289,12 +308,12 @@ main(int argc, char** argv)
             "     \"fused_ms\": {\"t1\": %.4f, \"t4\": %.4f, \"t8\": %.4f},\n"
             "     \"speedup_vs_legacy_1t\": %.2f, "
             "\"scaling_1t_to_8t\": %.2f,\n"
-            "     %s,\n"
+            "     %s, \"host_bytes_per_token\": %s,\n"
             "     \"paged_gather_ms\": %s, \"paged_fused_ms\": %.4f}%s\n",
             r.context, r.legacy_ms, r.legacy_estimated ? "true" : "false",
             r.fused_ms_t1, r.fused_ms_t4, r.fused_ms_t8,
             r.legacy_ms / r.fused_ms_t1, r.fused_ms_t1 / r.fused_ms_t8,
-            twin, gather, r.paged_fused_ms,
+            twin, host, gather, r.paged_fused_ms,
             i + 1 < results.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");

@@ -238,7 +238,8 @@ class AttentionBackend
     /** Why available() is false (empty when it is true). */
     virtual std::string unavailableReason() const { return {}; }
 
-    /** SIMD level the hot loops run at: "scalar", "avx2" or "avx512".
+    /** SIMD level the hot loops run at: "scalar", "avx2" or "avx512"
+     *  (for `fused-packed`, the enabled level at the time of the call).
      *  Recorded in the bench JSON next to the detected CPU features. */
     virtual const char* simdLevel() const { return "scalar"; }
 

@@ -5,12 +5,13 @@
  * dequant-then-compute baselines, `kivi` (separated kernels) and
  * `qserve` (CUDA-core fused GEMVs). The baselines consume the
  * pre-packing QuantizedMatrix pair; `fused-packed` consumes the packed
- * cache with its per-block dequant LUTs.
+ * cache and runs at the host's enabled SIMD level.
  */
 #include "attention/kivi_baseline.h"
 #include "attention/qserve_baseline.h"
 #include "backend/registry.h"
 #include "core/packing_kernel.h"
+#include "exec/simd/dispatch.h"
 #include "kvcache/kv_cache.h"
 #include "layout/tile.h"
 #include "quant/int_quant.h"
@@ -24,6 +25,12 @@ class FusedPackedBackend : public AttentionBackend
 {
   public:
     const char* name() const override { return "fused-packed"; }
+
+    /** The level fusedPackedAttention dispatches to right now. */
+    const char* simdLevel() const override
+    {
+        return exec::simd::toString(exec::simd::enabledLevelCap());
+    }
 
     BackendCapabilities capabilities() const override
     {

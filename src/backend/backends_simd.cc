@@ -1,10 +1,14 @@
 /**
  * @file
- * SIMD sibling backends: `fused-fp16-avx2`, `fused-packed-avx2`,
- * `fused-paged-avx2` and their `-avx512` variants. Each is the scalar
- * twin's hot loops re-executed through an ISA kernel table
- * (src/exec/simd/) with identical chunking and merge order, so its
- * digest is bitwise identical to the twin's for any thread count.
+ * SIMD sibling backends: `fused-fp16-avx2`, `fused-paged-avx2` and their
+ * `-avx512` variants. Each is the scalar twin's hot loops re-executed
+ * through an ISA kernel table (src/exec/simd/) with identical chunking
+ * and merge order, so its digest is bitwise identical to the twin's for
+ * any thread count. `fused-packed` has no siblings: it runs at the
+ * enabled level itself. The paged siblings stay opt-in by name because
+ * at the serving slice's head_dim of 4 the AVX-512 paged kernel is
+ * slower than the scalar one, so a level-only dispatch would slow
+ * serving; the fp16 siblings stay beside them until both fold together.
  *
  * Availability gates on exec::simd::levelEnabled(): a sibling whose ISA
  * the CPU/OS lacks — or that `BITDEC_SIMD` caps away — is hidden from
@@ -14,11 +18,9 @@
  * its available siblings (the twin still wins ties by name order).
  */
 #include "backend/registry.h"
-#include "core/packing_kernel.h"
 #include "exec/simd/simd_attention.h"
 #include "kvcache/kv_cache.h"
 #include "kvcache/paged_cache.h"
-#include "layout/tile.h"
 
 namespace bitdec::backend {
 
@@ -94,54 +96,6 @@ class FusedFp16SimdBackend : public SimdSiblingBackend<L>
     }
 };
 
-/** SIMD twin of fused-packed. */
-template <simd::Level L>
-class FusedPackedSimdBackend : public SimdSiblingBackend<L>
-{
-  public:
-    const char* name() const override
-    {
-        static const std::string n = siblingName("fused-packed", L);
-        return n.c_str();
-    }
-
-    BackendCapabilities capabilities() const override
-    {
-        BackendCapabilities caps;
-        caps.bindings = static_cast<unsigned>(Binding::PackedLowBit);
-        caps.cache_kinds = static_cast<unsigned>(CacheKind::Contiguous);
-        caps.quant_formats = static_cast<unsigned>(QuantFormat::Int4) |
-                             static_cast<unsigned>(QuantFormat::Int2);
-        caps.scenarios = kContiguousScenarios;
-        caps.fused_hot_path = true;
-        return caps;
-    }
-
-    DecodePlan plan(const attn::DecodeShape& shape) const override
-    {
-        DecodePlan p = AttentionBackend::plan(shape);
-        if (!p.supported)
-            return p;
-        p.kv_chunk = core::kChunkBlocks *
-                     layout::residualBlockSize(layout::WarpTiling{}, 4);
-        p.splits = (shape.seq_len + p.kv_chunk - 1) / p.kv_chunk;
-        p.chunking = "4 packed blocks per partial + FP16 residual tail, "
-                     "partials merged in block order";
-        return p;
-    }
-
-    std::vector<Tensor<float>> decodeStep(
-        const DecodeBatch& batch) const override
-    {
-        this->requireBindings(batch);
-        return runBatch(batch, [&batch](const DecodeItem& it,
-                                        exec::ThreadPool* inner) {
-            return core::fusedPackedAttentionSimd(*it.q, *it.packed,
-                                                  batch.scale, L, inner);
-        });
-    }
-};
-
 /** SIMD twin of fused-paged (serving-capable). */
 template <simd::Level L>
 class FusedPagedSimdBackend : public SimdSiblingBackend<L>
@@ -190,15 +144,11 @@ class FusedPagedSimdBackend : public SimdSiblingBackend<L>
 
 using FusedFp16Avx2 = FusedFp16SimdBackend<simd::Level::Avx2>;
 using FusedFp16Avx512 = FusedFp16SimdBackend<simd::Level::Avx512>;
-using FusedPackedAvx2 = FusedPackedSimdBackend<simd::Level::Avx2>;
-using FusedPackedAvx512 = FusedPackedSimdBackend<simd::Level::Avx512>;
 using FusedPagedAvx2 = FusedPagedSimdBackend<simd::Level::Avx2>;
 using FusedPagedAvx512 = FusedPagedSimdBackend<simd::Level::Avx512>;
 
 BITDEC_REGISTER_BACKEND(FusedFp16Avx2);
 BITDEC_REGISTER_BACKEND(FusedFp16Avx512);
-BITDEC_REGISTER_BACKEND(FusedPackedAvx2);
-BITDEC_REGISTER_BACKEND(FusedPackedAvx512);
 BITDEC_REGISTER_BACKEND(FusedPagedAvx2);
 BITDEC_REGISTER_BACKEND(FusedPagedAvx512);
 

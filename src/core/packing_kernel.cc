@@ -10,6 +10,7 @@
 #include "core/query_transform.h"
 #include "exec/dequant_plan.h"
 #include "exec/fused_attention.h"
+#include "exec/simd/dispatch.h"
 #include "gpusim/fragment.h"
 #include "quant/fast_dequant.h"
 
@@ -113,6 +114,26 @@ fragmentMatchesLayout(const FragmentLayout& bl, const WarpFragment<Half>& frag,
         }
     }
     return true;
+}
+
+/**
+ * Dequantizes one packed block through a SIMD kernel table: the block's
+ * group values from its params (into @p values), then the plan's walk.
+ */
+void
+dequantLinear(const exec::simd::KernelTable& kt, const kv::PackedBlock& blk,
+              const exec::simd::LinearDequantPlan& plan,
+              std::vector<float>& values, float* out)
+{
+    const std::size_t n_groups = blk.params.numel();
+    const std::size_t need =
+        (n_groups << plan.bits) + exec::simd::kGroupValuesPad;
+    if (values.size() < need)
+        values.resize(need);
+    kt.group_values(blk.params.data(), n_groups, plan.bits, values.data());
+    kt.dequant_linear(blk.units.data(), plan.unit.data(), plan.shift.data(),
+                      plan.param.data(), plan.size(), plan.bits,
+                      plan.group_run, values.data(), out);
 }
 
 } // namespace
@@ -382,6 +403,11 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
                      const kv::PackedHeadCache& cache, float scale,
                      exec::ThreadPool* pool)
 {
+    namespace simd = exec::simd;
+    // The host's enabled level (BITDEC_SIMD caps it), resolved once per
+    // call; null at scalar, which runs the portable loops.
+    const simd::KernelTable* kt = simd::kernels(simd::enabledLevelCap());
+
     const int d = cache.headDim();
     const int gq = static_cast<int>(q_tile.dim(0));
     BITDEC_ASSERT(gq >= 1 && gq <= 16, "query tile must fit one m16 tile");
@@ -407,91 +433,10 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
         exec::SoftmaxPartial& st = parts[ci];
         st.init(gq, d);
 
-        // Reusable scratch: one dequantized [Nr x d] tile each for K and V.
-        // Thread-local, grow-only — zero allocations in steady state.
-        thread_local std::vector<float> kd, vd;
-        const std::size_t tile = static_cast<std::size_t>(nr) * dd;
-        if (kd.size() < tile) {
-            kd.resize(tile);
-            vd.resize(tile);
-        }
-
-        const int b0 = static_cast<int>(ci) * kChunkBlocks;
-        const int b1 = std::min(n_blocks, b0 + kChunkBlocks);
-        for (int blk = b0; blk < b1; blk++) {
-            const kv::PackedBlock& kb = k_blocks[static_cast<std::size_t>(blk)];
-            const kv::PackedBlock& vb = v_blocks[static_cast<std::size_t>(blk)];
-            exec::dequantBlock(kb.units, cache.keyRoutes(), kb.dequant_lut,
-                               bits, kd.data());
-            exec::dequantBlock(vb.units, cache.valueRoutes(), vb.dequant_lut,
-                               bits, vd.data());
-            // P rounds through half precision exactly like the sAcc
-            // round trip (round_p = true).
-            exec::foldTile(qf.data(), gq, d, kd.data(), vd.data(), nr, scale,
-                           st, /*round_p=*/true);
-        }
-    });
-
-    // Deterministic reduction: merge chunk partials sequentially in chunk
-    // order (the split-KV log-sum-exp combine).
-    exec::SoftmaxPartial run = exec::mergePartials(parts, gq, d);
-
-    // FP16 residual tail, merged online — same arithmetic as the reference
-    // kernel's residual pass (plain float P, no half rounding).
-    const int res_len = cache.residualLength();
-    if (res_len > 0) {
-        const std::size_t live = static_cast<std::size_t>(res_len) * dd;
-        std::vector<float> krf(live), vrf(live);
-        toFloat(cache.residualKeys().data(), krf.data(), live);
-        toFloat(cache.residualValues().data(), vrf.data(), live);
-        exec::foldTile(qf.data(), gq, d, krf.data(), vrf.data(), res_len,
-                       scale, run);
-    }
-
-    return exec::finalizePartial(run, gq, d);
-}
-
-Tensor<float>
-fusedPackedAttentionSimd(const Tensor<Half>& q_tile,
-                         const kv::PackedHeadCache& cache, float scale,
-                         exec::simd::Level level, exec::ThreadPool* pool)
-{
-    namespace simd = exec::simd;
-    const simd::KernelTable* kt = simd::kernels(level);
-    if (kt == nullptr)
-        BITDEC_FATAL("SIMD level '", simd::toString(level),
-                     "' has no kernels on this host (detected CPU features: ",
-                     simd::describeCpuFeatures(), ")");
-
-    const int d = cache.headDim();
-    const int gq = static_cast<int>(q_tile.dim(0));
-    BITDEC_ASSERT(gq >= 1 && gq <= 16, "query tile must fit one m16 tile");
-    BITDEC_ASSERT(static_cast<int>(q_tile.dim(1)) == d, "query width mismatch");
-    const int nr = cache.residualBlockSize();
-    const int bits = cache.config().bits;
-    const std::size_t dd = static_cast<std::size_t>(d);
-
-    std::vector<float> qf(static_cast<std::size_t>(gq) * dd);
-    kt->convert_rows(q_tile.data(), qf.size(), qf.data());
-
-    const auto& k_blocks = cache.keyBlocks();
-    const auto& v_blocks = cache.valueBlocks();
-    const simd::LinearDequantPlan& kplan = cache.keyLinearPlan();
-    const simd::LinearDequantPlan& vplan = cache.valueLinearPlan();
-    const int n_blocks = static_cast<int>(k_blocks.size());
-    const int n_chunks = (n_blocks + kChunkBlocks - 1) / kChunkBlocks;
-
-    std::vector<exec::SoftmaxPartial> parts(static_cast<std::size_t>(n_chunks));
-
-    exec::parallelFor(pool, static_cast<std::size_t>(n_chunks),
-                      [&](std::size_t ci) {
-        exec::SoftmaxPartial& st = parts[ci];
-        st.init(gq, d);
-
-        // Same scratch discipline as the scalar twin, but K dequantizes
-        // channel-major ([d x Nr], token stride nr) straight through the
-        // remapped linear plan — no transpose pass.
-        thread_local std::vector<float> kd, vd, s;
+        // Reusable scratch: one dequantized [Nr x d] tile each for K and V,
+        // plus the SIMD path's group values and logits. Thread-local,
+        // grow-only — zero allocations in steady state.
+        thread_local std::vector<float> kd, vd, values, s;
         const std::size_t tile = static_cast<std::size_t>(nr) * dd;
         if (kd.size() < tile) {
             kd.resize(tile);
@@ -505,33 +450,51 @@ fusedPackedAttentionSimd(const Tensor<Half>& q_tile,
         for (int blk = b0; blk < b1; blk++) {
             const kv::PackedBlock& kb = k_blocks[static_cast<std::size_t>(blk)];
             const kv::PackedBlock& vb = v_blocks[static_cast<std::size_t>(blk)];
-            kt->dequant_linear(kb.units.data(), kplan.unit.data(),
-                               kplan.shift.data(), kplan.param.data(),
-                               kplan.size(), bits, kb.dequant_lut_f32.data(),
-                               kd.data());
-            kt->dequant_linear(vb.units.data(), vplan.unit.data(),
-                               vplan.shift.data(), vplan.param.data(),
-                               vplan.size(), bits, vb.dequant_lut_f32.data(),
-                               vd.data());
+            // P rounds through half precision exactly like the sAcc
+            // round trip (round_p = true).
+            if (kt == nullptr) {
+                exec::dequantBlock(kb.units, cache.keyRoutes(), kb.params,
+                                   bits, kd.data());
+                exec::dequantBlock(vb.units, cache.valueRoutes(), vb.params,
+                                   bits, vd.data());
+                exec::foldTile(qf.data(), gq, d, kd.data(), vd.data(), nr,
+                               scale, st, /*round_p=*/true);
+                continue;
+            }
+            // K dequantizes channel-major ([d x Nr], token stride nr)
+            // straight through the remapped linear plan — no transpose.
+            dequantLinear(*kt, kb, cache.keyLinearPlan(), values, kd.data());
+            dequantLinear(*kt, vb, cache.valueLinearPlan(), values,
+                          vd.data());
             kt->fold_tile(qf.data(), gq, d, kd.data(), /*t_stride=*/nr,
                           vd.data(), nr, scale, st.m.data(), st.l.data(),
                           st.acc.data(), s.data(), /*round_p=*/true);
         }
     });
 
+    // Deterministic reduction: merge chunk partials sequentially in chunk
+    // order (the split-KV log-sum-exp combine).
     exec::SoftmaxPartial run = exec::mergePartials(parts, gq, d);
 
+    // FP16 residual tail, merged online — same arithmetic as the reference
+    // kernel's residual pass (plain float P, no half rounding).
     const int res_len = cache.residualLength();
     if (res_len > 0) {
         const std::size_t live = static_cast<std::size_t>(res_len) * dd;
-        std::vector<float> krT(live), vrf(live),
-            rs(static_cast<std::size_t>(res_len));
-        kt->convert_transpose(cache.residualKeys().data(), res_len, d,
-                              krT.data(), res_len);
-        kt->convert_rows(cache.residualValues().data(), live, vrf.data());
-        kt->fold_tile(qf.data(), gq, d, krT.data(), res_len, vrf.data(),
-                      res_len, scale, run.m.data(), run.l.data(),
-                      run.acc.data(), rs.data(), /*round_p=*/false);
+        std::vector<float> krf(live), vrf(live);
+        toFloat(cache.residualValues().data(), vrf.data(), live);
+        if (kt == nullptr) {
+            toFloat(cache.residualKeys().data(), krf.data(), live);
+            exec::foldTile(qf.data(), gq, d, krf.data(), vrf.data(), res_len,
+                           scale, run);
+        } else {
+            std::vector<float> rs(static_cast<std::size_t>(res_len));
+            kt->convert_transpose(cache.residualKeys().data(), res_len, d,
+                                  krf.data(), res_len);
+            kt->fold_tile(qf.data(), gq, d, krf.data(), res_len, vrf.data(),
+                          res_len, scale, run.m.data(), run.l.data(),
+                          run.acc.data(), rs.data(), /*round_p=*/false);
+        }
     }
 
     return exec::finalizePartial(run, gq, d);

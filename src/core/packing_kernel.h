@@ -28,7 +28,6 @@
 
 #include "attention/workloads.h"
 #include "common/tensor.h"
-#include "exec/simd/dispatch.h"
 #include "exec/thread_pool.h"
 #include "gpusim/timing.h"
 #include "kvcache/kv_cache.h"
@@ -74,9 +73,15 @@ PackingKernelResult packingKernelAttention(const Tensor<Half>& q_tile,
  * through half precision (the sAcc round trip), online-softmax merges,
  * the FP16 residual tail — but executes it as a tile-fused pipeline:
  * each packed block is dequantized word-level into a reusable thread-local
- * [Nr x d] scratch tile via the cache's dequant routing and consumed by
- * QK/softmax/PV immediately, so the full FP16 cache is never materialized
- * and nothing is allocated per tile.
+ * [Nr x d] scratch tile, its group values derived from the block's params
+ * at use, and consumed by QK/softmax/PV immediately, so the full FP16
+ * cache is never materialized and nothing is allocated per tile.
+ *
+ * The kernels run at the host's enabled SIMD level
+ * (exec::simd::enabledLevelCap(), capped by BITDEC_SIMD): the AVX2 and
+ * AVX-512 tables walk the cache's linear plans (K straight into a
+ * channel-major tile for the lane-per-token QK loop), `scalar` walks the
+ * route tables. Every level produces the same bytes.
  *
  * KV blocks are processed in fixed-size chunks whose partial softmax
  * states merge sequentially in chunk order, so the output is bitwise
@@ -96,22 +101,6 @@ Tensor<float> fusedPackedAttention(const Tensor<Half>& q_tile,
                                    const kv::PackedHeadCache& cache,
                                    float scale,
                                    exec::ThreadPool* pool = nullptr);
-
-/**
- * SIMD twin of fusedPackedAttention: identical chunking (kChunkBlocks
- * blocks per partial + FP16 residual tail) and sequential merges, so the
- * output is bitwise identical to the scalar path for any thread count.
- * Packed blocks dequantize through the cache's linear plans — K directly
- * into a channel-major scratch tile (the vector QK layout), V token-major
- * — via gathered LUT lookups instead of route-table walks.
- *
- * @param level SIMD level whose kernel table to use; fatal when this host
- *              cannot run it (backends gate availability upstream)
- */
-Tensor<float> fusedPackedAttentionSimd(const Tensor<Half>& q_tile,
-                                       const kv::PackedHeadCache& cache,
-                                       float scale, exec::simd::Level level,
-                                       exec::ThreadPool* pool = nullptr);
 
 } // namespace bitdec::core
 

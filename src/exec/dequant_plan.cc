@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "gpusim/fragment.h"
+#include "quant/fast_dequant.h"
 
 namespace bitdec::exec {
 
@@ -35,14 +36,22 @@ buildDequantRoutes(const layout::InducedLayout& lay,
 void
 dequantBlock(const std::vector<std::uint32_t>& units,
              const std::vector<CodeRoute>& routes,
-             const std::vector<Half>& lut, int bits, float* out)
+             const Tensor<Half2>& params, int bits, float* out)
 {
     const int cpu = 32 / bits;
     const std::uint32_t mask = (1u << bits) - 1u;
     BITDEC_ASSERT(routes.size() ==
                       units.size() * static_cast<std::size_t>(cpu),
                   "routing table does not match the unit buffer");
-    const float* widen = halfToFloatLut();
+    // The block's group values, [group << bits | code]; thread-local and
+    // grow-only, so steady-state decode allocates nothing.
+    thread_local std::vector<float> values;
+    const std::size_t levels = std::size_t{1} << bits;
+    if (values.size() < params.numel() * levels)
+        values.resize(params.numel() * levels);
+    for (std::size_t g = 0; g < params.numel(); g++)
+        quant::dequantMagicGroup(quant::QuantParams::fromHalf2(params[g]),
+                                 bits, values.data() + g * levels);
     const CodeRoute* r = routes.data();
     for (std::size_t u = 0; u < units.size(); u++, r += cpu) {
         const std::uint32_t w = units[u];
@@ -51,8 +60,8 @@ dequantBlock(const std::vector<std::uint32_t>& units,
             const std::uint32_t hi = (w >> (bits * j + 16)) & mask;
             const CodeRoute& rl = r[2 * j];
             const CodeRoute& rh = r[2 * j + 1];
-            out[rl.dest] = widen[lut[(rl.param << bits) | lo].bits()];
-            out[rh.dest] = widen[lut[(rh.param << bits) | hi].bits()];
+            out[rl.dest] = values[(rl.param << bits) | lo];
+            out[rh.dest] = values[(rh.param << bits) | hi];
         }
     }
 }

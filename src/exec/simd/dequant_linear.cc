@@ -46,6 +46,15 @@ buildLinearDequantPlan(
     for (std::size_t i = 0; i < n_elems; i++)
         BITDEC_ASSERT(plan.unit[i] != kUnrouted,
                       "scratch destination never routed");
+    for (std::size_t run = 16; run > 1; run /= 2) {
+        bool shared = n_elems % run == 0;
+        for (std::size_t i = 0; shared && i < n_elems; i++)
+            shared = plan.param[i] == plan.param[i - i % run];
+        if (shared) {
+            plan.group_run = static_cast<int>(run);
+            break;
+        }
+    }
     return plan;
 }
 

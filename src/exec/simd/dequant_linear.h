@@ -10,11 +10,17 @@
  * LinearDequantPlan is the same routing inverted: for every scratch
  * destination, in destination order, it records which packed word the
  * code lives in, the in-word bit shift that extracts it, and its
- * (pre-shifted) parameter-group LUT base. The SIMD kernels then walk the
- * scratch contiguously — gather the words, variable-shift/mask the
- * codes, gather the dequantized values from a float LUT, store a full
- * vector — and produce bit-identical bytes to dequantBlock, since code
- * extraction and table lookup are integer-exact under any order.
+ * (pre-shifted) parameter-group row in the block's group values. The
+ * SIMD kernels then walk the scratch contiguously — gather the words,
+ * variable-shift/mask the codes, look the values up in the group's row,
+ * store a full vector — and produce bit-identical bytes to dequantBlock,
+ * since code extraction and lookup are integer-exact under any order.
+ *
+ * In the default layouts every group is a contiguous destination run
+ * (channel-wise keys run along tokens in the channel-major K tile;
+ * values run along channels), so a whole vector shares one group and its
+ * lookup is one register permute instead of a gather; group_run records
+ * how long those aligned runs are.
  *
  * A destination remap hook lets the key plan target a channel-major
  * [d x Nr] scratch (what the vectorized QK loop wants) while reusing the
@@ -36,8 +42,8 @@ namespace bitdec::exec::simd {
  * SoA routing of one packed block, ordered by scratch destination:
  * element i of the dequantized tile is code
  * `(units[unit[i]] >> shift[i]) & ((1 << bits) - 1)` of its block, and
- * dequantizes to `lut[param[i] | code]` (param is stored pre-shifted by
- * bits). Shared by every block of a cache, like the CodeRoute table it
+ * dequantizes to `values[param[i] | code]` (param is stored pre-shifted
+ * by bits). Shared by every block of a cache, like the CodeRoute table it
  * is derived from.
  */
 struct LinearDequantPlan
@@ -45,7 +51,10 @@ struct LinearDequantPlan
     int bits = 0;                      //!< code width (2 or 4)
     std::vector<std::uint32_t> unit;   //!< packed word per destination
     std::vector<std::uint32_t> shift;  //!< in-word code shift
-    std::vector<std::uint32_t> param;  //!< param-group LUT base (<< bits)
+    std::vector<std::uint32_t> param;  //!< param-group row base (<< bits)
+    //! Largest power of two <= 16 such that every aligned run of that
+    //! many destinations shares one parameter group (1: groups interleave).
+    int group_run = 1;
 
     std::size_t size() const { return unit.size(); }
 };

@@ -8,8 +8,9 @@
  * register state (XCR0), and the matching kernel TU was compiled in.
  * `BITDEC_SIMD` caps the level (scalar < avx2 < avx512); naming a level
  * this host cannot run is a fatal error that lists the detected CPU
- * features — never a silent fallback. The SIMD sibling backends
- * (fused-*-avx2 / -avx512) gate their availability on levelEnabled(), so
+ * features — never a silent fallback. `fused-packed` runs at
+ * enabledLevelCap(); the fp16/paged sibling backends (fused-fp16-avx2,
+ * fused-paged-avx512, ...) gate their availability on levelEnabled(), so
  * listings hide and resolution rejects what the host cannot execute.
  */
 #ifndef BITDEC_EXEC_SIMD_DISPATCH_H
@@ -68,7 +69,7 @@ bool levelSupported(Level l);
  */
 Level enabledLevelCap();
 
-/** levelSupported(l) && l <= enabledLevelCap() — what backend
+/** levelSupported(l) && l <= enabledLevelCap() — what sibling-backend
  *  availability gates on. */
 bool levelEnabled(Level l);
 

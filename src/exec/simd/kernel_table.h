@@ -17,8 +17,9 @@
  * channels accumulated sequentially, separate mul+add — never FMA; the
  * TUs also compile with -ffp-contract=off), PV vectorizes across
  * channels (tokens accumulated sequentially per channel), max/exp/
- * half-rounding stay scalar per token, and dequant/conversion are
- * integer-exact table lookups. See docs/BACKENDS.md.
+ * half-rounding stay scalar per token, conversion is exact, group values
+ * round through binary16 exactly as the scalar arithmetic does, and the
+ * per-code dequant is an integer-exact lookup. See docs/BACKENDS.md.
  */
 #ifndef BITDEC_EXEC_SIMD_KERNEL_TABLE_H
 #define BITDEC_EXEC_SIMD_KERNEL_TABLE_H
@@ -30,7 +31,10 @@
 
 namespace bitdec::exec::simd {
 
-/** The three hot loops + the Half->float conversions they feed on. */
+/** Floats past a group-values table that a row lookup may read. */
+constexpr std::size_t kGroupValuesPad = 16;
+
+/** The hot loops + the Half->float conversions they feed on. */
 struct KernelTable
 {
     /** Bulk Half->float, bit-identical to toFloat()'s LUT widening. */
@@ -58,15 +62,30 @@ struct KernelTable
                       float* m, float* l, float* acc, float* s, bool round_p);
 
     /**
+     * Derives one block's dequantized values from its parameters:
+     * values[g << bits | q] = quant::dequantMagicValue(q, params[g]) for
+     * every group g < n_groups and code q < 2^bits. Same mul, add and
+     * binary16 roundings as the scalar arithmetic (F16C round trips), so
+     * bit-identical to it. @p values holds (n_groups << bits) +
+     * kGroupValuesPad floats: a lookup reads a whole 16-entry row.
+     */
+    void (*group_values)(const Half2* params, std::size_t n_groups,
+                         int bits, float* values);
+
+    /**
      * Dequantizes one packed block through a LinearDequantPlan's SoA
-     * arrays (unit/shift/param, n elements) and a float value LUT.
-     * Bit-identical to exec::dequantBlock over the same routing.
+     * arrays (unit/shift/param, n elements) and the block's group values.
+     * When the plan's aligned runs of @p group_run destinations share one
+     * group and a run spans a whole vector, the vector's values come from
+     * one in-register permute of its group's row; otherwise they are
+     * gathered. Bit-identical to exec::dequantBlock over the same routing.
      */
     void (*dequant_linear)(const std::uint32_t* units,
                            const std::uint32_t* unit_of,
                            const std::uint32_t* shift_of,
                            const std::uint32_t* param_of, std::size_t n,
-                           int bits, const float* flut, float* out);
+                           int bits, int group_run, const float* values,
+                           float* out);
 };
 
 /** The AVX2 (+F16C) table; null when not compiled for this target. */

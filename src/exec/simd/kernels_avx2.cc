@@ -48,12 +48,38 @@ struct VecAvx2
     {
         return _mm256_i32gather_ps(base, idx, 4);
     }
+
+    static F xorF(F a, F b) { return _mm256_xor_ps(a, b); }
+    /** Rounds every lane through binary16 (round to nearest even). */
+    static F roundHalf(F x)
+    {
+        return _mm256_cvtph_ps(_mm256_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT));
+    }
+    /** Widens the half in the low 16 bits of every 32-bit lane. */
+    static F halvesLo(I w)
+    {
+        const I m = _mm256_and_si256(w, _mm256_set1_epi32(0xFFFF));
+        return _mm256_cvtph_ps(_mm_packus_epi32(
+            _mm256_castsi256_si128(m), _mm256_extracti128_si256(m, 1)));
+    }
+    /** Widens the half in the high 16 bits of every 32-bit lane. */
+    static F halvesHi(I w) { return halvesLo(_mm256_srli_epi32(w, 16)); }
+    /** row[idx] per lane for idx < 16: two 8-entry permutes, blended on
+     *  index bit 3. */
+    static F lookup16(const float* row, I idx)
+    {
+        const F lo = _mm256_permutevar8x32_ps(_mm256_loadu_ps(row), idx);
+        const F hi = _mm256_permutevar8x32_ps(_mm256_loadu_ps(row + 8), idx);
+        return _mm256_blendv_ps(
+            lo, hi, _mm256_castsi256_ps(_mm256_slli_epi32(idx, 28)));
+    }
 };
 
 const KernelTable kTable = {
     impl::convertRowsF16c,
     impl::convertTransposeF16c,
     impl::foldTileImpl<VecAvx2>,
+    impl::groupValuesImpl<VecAvx2>,
     impl::dequantLinearImpl<VecAvx2>,
 };
 

@@ -47,12 +47,29 @@ struct VecAvx512
     {
         return _mm512_i32gather_ps(idx, base, 4);
     }
+
+    static F xorF(F a, F b) { return _mm512_xor_ps(a, b); }
+    /** Rounds every lane through binary16 (round to nearest even). */
+    static F roundHalf(F x)
+    {
+        return _mm512_cvtph_ps(_mm512_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT));
+    }
+    /** Widens the half in the low 16 bits of every 32-bit lane. */
+    static F halvesLo(I w) { return _mm512_cvtph_ps(_mm512_cvtepi32_epi16(w)); }
+    /** Widens the half in the high 16 bits of every 32-bit lane. */
+    static F halvesHi(I w) { return halvesLo(_mm512_srli_epi32(w, 16)); }
+    /** row[idx] per lane for idx < 16: one 16-entry permute. */
+    static F lookup16(const float* row, I idx)
+    {
+        return _mm512_permutexvar_ps(idx, _mm512_loadu_ps(row));
+    }
 };
 
 const KernelTable kTable = {
     impl::convertRowsF16c,
     impl::convertTransposeF16c,
     impl::foldTileImpl<VecAvx512>,
+    impl::groupValuesImpl<VecAvx512>,
     impl::dequantLinearImpl<VecAvx512>,
 };
 

@@ -17,7 +17,10 @@
  *  - PV: one lane per channel; tokens accumulate sequentially, so each
  *    acc[c] sees the identical addition order as the scalar fold.
  *  - conversion and dequant are exact (Half widening is lossless; code
- *    extraction and LUT indexing are integer ops), so any order works.
+ *    extraction and lookups are integer ops), so any order works.
+ *  - group values replay quant::dequantMagicValue per lane: the same mul,
+ *    add and binary16 round-to-nearest-even (F16C cvtps2ph/cvtph2ps in
+ *    place of the scalar bit-level rounding).
  */
 #ifndef BITDEC_EXEC_SIMD_KERNELS_IMPL_H
 #define BITDEC_EXEC_SIMD_KERNELS_IMPL_H
@@ -27,6 +30,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 
 #include "common/half.h"
 
@@ -223,27 +227,94 @@ foldTileImpl(const float* qf, int gq, int d, const float* kT, int t_stride,
     }
 }
 
+/** Magic-biased codes (1024 + q) of a 16-level group row. */
+alignas(64) static constexpr float kMagicRow[16] = {
+    1024.f, 1025.f, 1026.f, 1027.f, 1028.f, 1029.f, 1030.f, 1031.f,
+    1032.f, 1033.f, 1034.f, 1035.f, 1036.f, 1037.f, 1038.f, 1039.f};
+
+/**
+ * Group values of one block: for W groups at a time the scales, zeros and
+ * folded biases (-(1024 + z) * s, rounded to half) are vector ops; each
+ * group's row is then (1024 + q) * s + bias rounded to half — one vector
+ * per 16-level row (two at 8 lanes), one 4-lane op per 2-bit row.
+ */
+template <class V>
+static void
+groupValuesImpl(const Half2* params, std::size_t n_groups, int bits,
+                float* values)
+{
+    const std::size_t levels = std::size_t{1} << bits;
+    const auto c1024 = V::broadcast(1024.f);
+    const auto sign = V::broadcast(-0.f);
+    alignas(64) std::uint32_t words[V::W];
+    alignas(64) float s[V::W];
+    alignas(64) float bias[V::W];
+    for (std::size_t g0 = 0; g0 < n_groups; g0 += V::W) {
+        const std::size_t count =
+            n_groups - g0 < static_cast<std::size_t>(V::W) ? n_groups - g0
+                                                            : V::W;
+        // A Half2 is one word, scale in the low and zero in the high 16
+        // bits; the tail pads with zero groups whose rows are not stored.
+        std::memset(words, 0, sizeof(words));
+        std::memcpy(words, params + g0, count * sizeof(Half2));
+        const auto w = V::loadI(words);
+        const auto vs = V::halvesLo(w);
+        const auto neg = V::xorF(V::add(c1024, V::halvesHi(w)), sign);
+        V::store(s, vs);
+        V::store(bias, V::roundHalf(V::mul(neg, vs)));
+        for (std::size_t j = 0; j < count; j++) {
+            float* row = values + ((g0 + j) << bits);
+            if (levels < static_cast<std::size_t>(V::W)) {
+                const __m128 v = _mm_add_ps(
+                    _mm_mul_ps(_mm_load_ps(kMagicRow), _mm_set1_ps(s[j])),
+                    _mm_set1_ps(bias[j]));
+                _mm_storeu_ps(row, _mm_cvtph_ps(_mm_cvtps_ph(
+                                      v, _MM_FROUND_TO_NEAREST_INT)));
+                continue;
+            }
+            const auto vsj = V::broadcast(s[j]);
+            const auto vbj = V::broadcast(bias[j]);
+            for (std::size_t q = 0; q < levels; q += V::W)
+                V::store(row + q,
+                         V::roundHalf(V::add(
+                             V::mul(V::load(kMagicRow + q), vsj), vbj)));
+        }
+    }
+}
+
 /** Destination-ordered block dequant: gather words, variable-shift/mask
- *  the codes, gather values from the float LUT, contiguous store. */
+ *  the codes, then one permute of the group's row per vector when a
+ *  vector lies in one group, else a gather from the values; contiguous
+ *  store. */
 template <class V>
 static void
 dequantLinearImpl(const std::uint32_t* units, const std::uint32_t* unit_of,
                   const std::uint32_t* shift_of, const std::uint32_t* param_of,
-                  std::size_t n, int bits, const float* flut, float* out)
+                  std::size_t n, int bits, int group_run, const float* values,
+                  float* out)
 {
     const std::uint32_t maskv = (1u << bits) - 1u;
     const auto vmask = V::broadcastI(maskv);
     std::size_t i = 0;
-    for (; i + V::W <= n; i += V::W) {
-        const auto words = V::gatherI(units, V::loadI(unit_of + i));
-        const auto codes =
-            V::andI(V::srlv(words, V::loadI(shift_of + i)), vmask);
-        const auto li = V::orI(V::loadI(param_of + i), codes);
-        V::store(out + i, V::gatherF(flut, li));
+    if (group_run >= V::W) {
+        for (; i + V::W <= n; i += V::W) {
+            const auto words = V::gatherI(units, V::loadI(unit_of + i));
+            const auto codes =
+                V::andI(V::srlv(words, V::loadI(shift_of + i)), vmask);
+            V::store(out + i, V::lookup16(values + param_of[i], codes));
+        }
+    } else {
+        for (; i + V::W <= n; i += V::W) {
+            const auto words = V::gatherI(units, V::loadI(unit_of + i));
+            const auto codes =
+                V::andI(V::srlv(words, V::loadI(shift_of + i)), vmask);
+            const auto li = V::orI(V::loadI(param_of + i), codes);
+            V::store(out + i, V::gatherF(values, li));
+        }
     }
     for (; i < n; i++)
-        out[i] = flut[param_of[i] |
-                      ((units[unit_of[i]] >> shift_of[i]) & maskv)];
+        out[i] = values[param_of[i] |
+                        ((units[unit_of[i]] >> shift_of[i]) & maskv)];
 }
 
 } // namespace impl

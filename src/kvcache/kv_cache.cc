@@ -20,41 +20,6 @@ transposeCodes(const Tensor<std::uint8_t>& m)
     return out;
 }
 
-/**
- * Builds a block's per-group dequantized-value table: for every parameter
- * group (flat order of the params tensor) the 2^bits values the magic-FMA
- * fast path produces. One table lookup then replaces the per-element
- * dequantization on the CPU hot path, bit-exactly.
- */
-/** Fills the block's float mirror of dequant_lut (same indexing, values
- *  widened through the global Half LUT — bit-identical at use). */
-void
-widenDequantLut(kv::PackedBlock& blk)
-{
-    blk.dequant_lut_f32.resize(blk.dequant_lut.size());
-    toFloat(blk.dequant_lut.data(), blk.dequant_lut_f32.data(),
-            blk.dequant_lut.size());
-}
-
-std::vector<Half>
-buildDequantLut(const Tensor<Half2>& params, int bits)
-{
-    const int levels = 1 << bits;
-    std::vector<Half> lut(params.numel() * static_cast<std::size_t>(levels));
-    for (std::size_t g = 0; g < params.numel(); g++) {
-        const quant::QuantParams p = quant::QuantParams::fromHalf2(params[g]);
-        for (int q = 0; q < levels; q++) {
-            // dequantMagicValue is Half-rounded by construction, so the
-            // narrowing store is lossless.
-            lut[g * static_cast<std::size_t>(levels) +
-                static_cast<std::size_t>(q)] =
-                Half(quant::dequantMagicValue(static_cast<std::uint8_t>(q),
-                                              p));
-        }
-    }
-    return lut;
-}
-
 } // namespace
 
 Fp16HeadCache::Fp16HeadCache(int head_dim) : head_dim_(head_dim)
@@ -127,8 +92,7 @@ PackedHeadCache::PackedHeadCache(int head_dim, const quant::QuantConfig& config,
 
     // Dequant routing shared by every block: both K and V land in a
     // token-major [Nr x d] scratch tile; the parameter-group indices match
-    // the flat order of the blocks' params tensors (and the dequant_lut
-    // built at pack time).
+    // the flat order of the blocks' params tensors.
     const std::uint32_t d = static_cast<std::uint32_t>(head_dim);
     const std::uint32_t gs = static_cast<std::uint32_t>(config.group_size);
     // Keys pack transposed ([d x Nr]): row = channel, col = token.
@@ -238,6 +202,18 @@ PackedHeadCache::deviceBytes() const
 }
 
 double
+PackedHeadCache::hostBytes() const
+{
+    double bytes = 0;
+    for (const auto* blocks : {&k_blocks_, &v_blocks_})
+        for (const PackedBlock& b : *blocks)
+            bytes += b.units.capacity() * sizeof(std::uint32_t) +
+                     b.params.numel() * sizeof(Half2);
+    bytes += (k_res_.numel() + v_res_.numel()) * sizeof(Half);
+    return bytes;
+}
+
+double
 PackedHeadCache::metadataBytes() const
 {
     double bytes = 0;
@@ -336,10 +312,6 @@ packBlock(const Tensor<Half>& k_block, const Tensor<Half>& v_block,
     k_out.params = kq.params;
     v_out.units = packInduced(v_layout, vq.codes);
     v_out.params = vq.params;
-    k_out.dequant_lut = buildDequantLut(k_out.params, config.bits);
-    v_out.dequant_lut = buildDequantLut(v_out.params, config.bits);
-    widenDequantLut(k_out);
-    widenDequantLut(v_out);
 }
 
 } // namespace bitdec::kv

@@ -61,29 +61,15 @@ class Fp16HeadCache
     Tensor<Half> v_;
 };
 
-/** One quantized+packed residual block of K or V. */
+/**
+ * One quantized+packed residual block of K or V: exactly the bytes the
+ * device stores. The fused CPU kernels derive each group's dequantized
+ * values from params at use, as the device does in registers.
+ */
 struct PackedBlock
 {
     std::vector<std::uint32_t> units; //!< induced-layout packed words
     Tensor<Half2> params;             //!< per-group scale/zero metadata
-
-    /**
-     * Host-side acceleration table: the 2^bits dequantized values of every
-     * parameter group, [group * 2^bits + code], built at pack time with the
-     * magic-FMA arithmetic (quant::dequantMagicValue). Values are stored as
-     * Half — lossless, since magic-FMA results are Half-rounded by
-     * construction — so the table stays at half the size of an FP16 cache;
-     * the fused path widens through the global Half LUT at use. Not counted
-     * in deviceBytes() — the device dequantizes in registers; this is the
-     * CPU backend's way of making per-element dequant a pair of loads.
-     */
-    std::vector<Half> dequant_lut;
-
-    /** Widened (float) mirror of dequant_lut for the SIMD dequant kernel,
-     *  whose gathered lookup wants 32-bit lanes. Same indexing
-     *  ((group << bits) | code); values bit-identical to widening
-     *  dequant_lut at use. */
-    std::vector<float> dequant_lut_f32;
 };
 
 /**
@@ -184,6 +170,13 @@ class PackedHeadCache
 
     /** Device bytes: packed words + metadata + residual. */
     double deviceBytes() const;
+
+    /**
+     * Host heap bytes holding the cache's data: every block's allocated
+     * words and params plus the residual buffers. Equals deviceBytes()
+     * while blocks hold nothing the device does not.
+     */
+    double hostBytes() const;
 
     /** Metadata bytes only (scales/zeros), for traffic accounting. */
     double metadataBytes() const;

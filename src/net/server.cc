@@ -425,6 +425,8 @@ Server::run()
                 ev |= POLLOUT;
             fds.push_back({c->fd, ev, 0});
         }
+        // acceptNew() appends to conns_; only these have a pollfd.
+        const std::size_t polled = conns_.size();
 
         // Work to pump and room to buffer it: don't sleep in poll.
         const bool work_pending = !client_.streamIdle() && !overWatermark();
@@ -437,7 +439,7 @@ Server::run()
                 acceptNew();
             fi++;
         }
-        for (std::size_t i = 0; i < conns_.size(); i++, fi++) {
+        for (std::size_t i = 0; i < polled; i++, fi++) {
             if (fds[fi].revents & (POLLIN | POLLHUP | POLLERR))
                 if (!conns_[i]->closing)
                     readFrom(*conns_[i]);

@@ -58,6 +58,18 @@ dequantMagicValue(std::uint8_t code, const QuantParams& p)
 }
 
 void
+dequantMagicGroup(const QuantParams& p, int bits, float* out)
+{
+    const float* widen = halfToFloatLut();
+    const float s = p.scale.toFloat();
+    const float neg_bias =
+        widen[floatToHalfBits(-(1024.0f + p.zero.toFloat()) * s)];
+    for (int q = 0; q < (1 << bits); q++)
+        out[q] = widen[floatToHalfBits(
+            (1024.0f + static_cast<float>(q)) * s + neg_bias)];
+}
+
+void
 referenceDequantWord(std::uint32_t word, int bits, PackOrder order,
                      const QuantParams& p, Half* out)
 {

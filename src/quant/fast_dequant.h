@@ -62,6 +62,13 @@ void fastDequantWord(std::uint32_t word, int bits, const QuantParams& p,
 float dequantMagicValue(std::uint8_t code, const QuantParams& p);
 
 /**
+ * The 2^bits values one parameter group dequantizes to:
+ * out[q] = dequantMagicValue(q, p) for every code q, the folded bias
+ * rounded once for the whole group.
+ */
+void dequantMagicGroup(const QuantParams& p, int bits, float* out);
+
+/**
  * Reference dequantization: unpack codes (any order) and convert each with
  * the plain arithmetic path. Used to validate the fast path bit-for-bit.
  */

@@ -178,7 +178,8 @@ TEST(DequantPlan, BlockDequantMatchesReferenceBitExactly)
             Tensor<Half> kd, vd;
             cache.dequantizeAll(kd, vd);
 
-            // The fused path's word-level dequant of each block.
+            // The fused path's word-level dequant of each block, its group
+            // values derived from the params at use.
             std::vector<float> kt(static_cast<std::size_t>(nr * d));
             std::vector<float> vt(static_cast<std::size_t>(nr * d));
             for (int blk = 0; blk < 2; blk++) {
@@ -186,10 +187,10 @@ TEST(DequantPlan, BlockDequantMatchesReferenceBitExactly)
                     cache.keyBlocks()[static_cast<std::size_t>(blk)];
                 const auto& vb =
                     cache.valueBlocks()[static_cast<std::size_t>(blk)];
-                exec::dequantBlock(kb.units, cache.keyRoutes(),
-                                   kb.dequant_lut, bits, kt.data());
-                exec::dequantBlock(vb.units, cache.valueRoutes(),
-                                   vb.dequant_lut, bits, vt.data());
+                exec::dequantBlock(kb.units, cache.keyRoutes(), kb.params,
+                                   bits, kt.data());
+                exec::dequantBlock(vb.units, cache.valueRoutes(), vb.params,
+                                   bits, vt.data());
                 for (int t = 0; t < nr; t++) {
                     const std::size_t tok =
                         static_cast<std::size_t>(blk * nr + t);

@@ -285,6 +285,35 @@ TEST(PackedCache, MemorySmallerThanFp16)
     EXPECT_GT(packed.metadataBytes(), 0.0);
 }
 
+TEST(PackedCache, HostBytesEqualDeviceBytes)
+{
+    // A sealed block holds only what the device stores (words + params):
+    // at d = 128 that is 160 B/token at 4 bits and 96 at 2 bits, against
+    // 512 for FP16.
+    for (const auto [bits, per_token] : {std::pair{4, 160.0},
+                                         std::pair{2, 96.0}}) {
+        quant::QuantConfig qc;
+        qc.bits = bits;
+        kv::PackedHeadCache packed(128, qc, WarpTiling{});
+        const double residual = 2.0 * packed.residualBlockSize() * 128 * 2;
+        EXPECT_EQ(packed.hostBytes(), residual) << "bits=" << bits;
+        Rng rng(64);
+        std::vector<Half> k(128), v(128);
+        for (int t = 0; t < 3 * packed.residualBlockSize() + 5; t++) {
+            for (int d = 0; d < 128; d++) {
+                k[static_cast<std::size_t>(d)] = Half(rng.normal());
+                v[static_cast<std::size_t>(d)] = Half(rng.normal());
+            }
+            packed.append(k, v);
+        }
+        ASSERT_EQ(packed.packedTokens(), 3 * packed.residualBlockSize());
+        EXPECT_EQ(packed.hostBytes(), packed.deviceBytes()) << "bits=" << bits;
+        EXPECT_EQ((packed.hostBytes() - residual) / packed.packedTokens(),
+                  per_token)
+            << "bits=" << bits;
+    }
+}
+
 // -------------------------------------------- residual kernel induction ----
 
 TEST(ResidualKernel, WarpPackMatchesCanonicalPackBytesKC4)

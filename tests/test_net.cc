@@ -5,12 +5,14 @@
  * with batch drains (engine and cluster), and loopback integration —
  * concurrent clients whose streamed digests match an in-process run,
  * slow-reader backpressure with bounded server buffering, mid-stream
- * CANCEL, typed error frames, busy shedding at the admission cap and
- * graceful drain under load.
+ * CANCEL, typed error frames, busy shedding at the admission cap,
+ * graceful drain under load, and an accept landing in the same poll
+ * round as a pending read.
  */
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -792,6 +794,137 @@ TEST(NetLoopback, BusySheddingAtTheAdmissionCap)
 
     lb.stop();
     EXPECT_EQ(lb.server().busyRejections(), 1);
+}
+
+/**
+ * Forwards to a real client, except that its first streamTick() parks
+ * until release(): the server thread then sits inside pump(), so socket
+ * events the test causes meanwhile are all pending at the next poll.
+ */
+class GatedClient final : public serving::ServingClient
+{
+  public:
+    explicit GatedClient(std::unique_ptr<serving::ServingClient> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    /** Blocks until the server thread is parked in its first tick. */
+    void waitParked()
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [this] { return parked_; });
+    }
+
+    /** Lets the parked tick (and every later one) run. */
+    void release()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            open_ = true;
+        }
+        cv_.notify_all();
+    }
+
+    bool streamTick() override
+    {
+        {
+            std::unique_lock<std::mutex> lock(mu_);
+            parked_ = true;
+            cv_.notify_all();
+            cv_.wait(lock, [this] { return open_; });
+        }
+        return inner_->streamTick();
+    }
+
+    int submit(const Request& r) override { return inner_->submit(r); }
+    const Request* poll(int id) const override { return inner_->poll(id); }
+    bool cancel(int id) override { return inner_->cancel(id); }
+    ServingMetrics drain() override { return inner_->drain(); }
+    serving::ClientStats stats() const override { return inner_->stats(); }
+    std::string admissionError(const Request& r) const override
+    {
+        return inner_->admissionError(r);
+    }
+    void streamBegin(serving::TokenSink sink) override
+    {
+        inner_->streamBegin(std::move(sink));
+    }
+    int streamSubmit(const Request& r) override
+    {
+        return inner_->streamSubmit(r);
+    }
+    bool streamCancel(int id) override { return inner_->streamCancel(id); }
+    bool streamIdle() const override { return inner_->streamIdle(); }
+    double streamClock() const override { return inner_->streamClock(); }
+    ServingMetrics streamSnapshot() const override
+    {
+        return inner_->streamSnapshot();
+    }
+    ServingMetrics streamEnd() override { return inner_->streamEnd(); }
+
+  private:
+    std::unique_ptr<serving::ServingClient> inner_;
+    std::mutex mu_;
+    std::condition_variable cv_;
+    bool parked_ = false;
+    bool open_ = false;
+};
+
+TEST(NetLoopback, AcceptAndPendingReadInOnePollRound)
+{
+    // A connection arriving in the same poll round as a readable one:
+    // acceptNew() appends it to the connection list, and the read loop
+    // must walk only the connections that were polled (the new one has
+    // no pollfd yet). The sanitizer job turns a walk past the pollfds
+    // into a heap-buffer-overflow.
+    GatedClient gate(serving::makeServingClient(
+        sim::archA100(), model::llama2_7b(), netTinyConfig()));
+    net::ServerConfig sc;
+    sc.honor_signal_drain = false;
+    net::ServerInfo info;
+    info.backend = netTinyConfig().backend;
+    net::Server server(gate, sc, info);
+    std::thread pump([&server] { server.run(); });
+    struct Stop
+    {
+        GatedClient& gate;
+        net::Server& server;
+        std::thread& pump;
+        ~Stop()
+        {
+            gate.release();
+            server.requestDrain();
+            pump.join();
+        }
+    } stop{gate, server, pump};
+
+    net::FrameType type;
+    std::string payload;
+    RawConn a(server.port());
+    ASSERT_TRUE(a.connected());
+    ASSERT_TRUE(a.readFrame(type, payload));
+    EXPECT_EQ(type, net::FrameType::Hello);
+    ASSERT_TRUE(a.sendBytes(net::encodeSubmit(toSubmit(workload(1, 16, 4)))));
+    gate.waitParked(); // the server is in pump(), not in poll()
+
+    RawConn b(server.port()); // queued on the listen socket
+    ASSERT_TRUE(b.connected());
+    ASSERT_TRUE(a.sendBytes(net::encodeStats())); // pending on a
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    gate.release();
+
+    // One round accepts b and reads a: b gets its HELLO, a its STATS
+    // reply, and a's request still streams to its DONE.
+    ASSERT_TRUE(b.readFrame(type, payload));
+    EXPECT_EQ(type, net::FrameType::Hello);
+    bool stats = false;
+    bool done = false;
+    while (!(stats && done)) {
+        ASSERT_TRUE(a.readFrame(type, payload));
+        stats = stats || type == net::FrameType::StatsJson;
+        done = done || type == net::FrameType::Done;
+    }
 }
 
 TEST(NetLoopback, TypedErrorFramesForBadSubmitsAndCancels)

@@ -6,6 +6,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -17,14 +18,15 @@
 #include "common/rng.h"
 #include "core/bitdecoding.h"
 #include "core/residual_kernel.h"
-#include "exec/dequant_plan.h"
 #include "exec/simd/dispatch.h"
+#include "exec/thread_pool.h"
 #include "gpusim/arch.h"
 #include "kvcache/kv_cache.h"
 #include "layout/induced_layout.h"
 #include "model/decode_sim.h"
 #include "model/model_config.h"
 #include "quant/fast_dequant.h"
+#include "scoped_simd_env.h"
 
 namespace bitdec {
 namespace {
@@ -419,102 +421,128 @@ TEST(SimdProperties, ConvertTransposeMatchesLutAtOddShapes)
 
 TEST(SimdProperties, LinearDequantBitExactUnderExtremeHalves)
 {
-    // The gathered linear-plan dequant must reproduce the route-walking
-    // scalar dequant bit-for-bit, including blocks quantized from
-    // denormal and near-max half content (extreme scales/zeros stress
-    // the LUT corners). K additionally checks the channel-major remap.
+    // Every SIMD table must derive a block's group values from its params
+    // with quant::dequantMagicValue's exact arithmetic, then dequantize
+    // through the linear plans to the reference inverse bit-for-bit —
+    // including blocks quantized from denormal and near-max half content,
+    // whose groups get denormal scales and folded biases that overflow to
+    // -inf. Keys cover both granularities (tensor-wise keys interleave
+    // groups along the channel-major tile and take the gathered lookup)
+    // and the channel-major remap.
     const auto tables = supportedKernelTables();
     if (tables.empty())
         GTEST_SKIP();
+    int inf_bias_groups = 0;
     for (int bits : {4, 2}) {
-        quant::QuantConfig qc;
-        qc.bits = bits;
-        const int d = 64;
-        kv::PackedHeadCache cache(d, qc, layout::WarpTiling{});
-        const int nr = cache.residualBlockSize();
-        Rng rng(2026 + bits);
-        for (int t = 0; t < nr; t++) {
-            std::vector<Half> k(static_cast<std::size_t>(d)),
-                v(static_cast<std::size_t>(d));
-            for (int c = 0; c < d; c++) {
-                switch (rng.uniformInt(4)) {
-                case 0: // denormal half
-                    k[static_cast<std::size_t>(c)] = Half::fromBits(
-                        static_cast<std::uint16_t>(1 + rng.uniformInt(0x3FF)));
-                    break;
-                case 1: // near half-max
-                    k[static_cast<std::size_t>(c)] =
-                        Half(60000.f * (rng.normal() > 0 ? 1.f : -1.f));
-                    break;
-                default:
-                    k[static_cast<std::size_t>(c)] = Half(rng.normal());
-                }
-                v[static_cast<std::size_t>(c)] = Half(rng.normal() * 100.f);
-            }
-            cache.append(k, v);
-        }
-        ASSERT_EQ(static_cast<int>(cache.keyBlocks().size()), 1);
-        const kv::PackedBlock& kb = cache.keyBlocks()[0];
-        const kv::PackedBlock& vb = cache.valueBlocks()[0];
-        const std::size_t n = static_cast<std::size_t>(nr) * d;
-        std::vector<float> k_ref(n), v_ref(n);
-        exec::dequantBlock(kb.units, cache.keyRoutes(), kb.dequant_lut, bits,
-                           k_ref.data());
-        exec::dequantBlock(vb.units, cache.valueRoutes(), vb.dequant_lut,
-                           bits, v_ref.data());
-        const auto& kp = cache.keyLinearPlan();
-        const auto& vp = cache.valueLinearPlan();
-        for (const auto& [kt, name] : supportedKernelTables()) {
-            std::vector<float> k_simd(n, -1.f), v_simd(n, -1.f);
-            kt->dequant_linear(kb.units.data(), kp.unit.data(),
-                               kp.shift.data(), kp.param.data(), kp.size(),
-                               bits, kb.dequant_lut_f32.data(),
-                               k_simd.data());
-            kt->dequant_linear(vb.units.data(), vp.unit.data(),
-                               vp.shift.data(), vp.param.data(), vp.size(),
-                               bits, vb.dequant_lut_f32.data(),
-                               v_simd.data());
-            for (int t = 0; t < nr; t++)
+        for (auto gran : {quant::Granularity::ChannelWise,
+                          quant::Granularity::TensorWise}) {
+            quant::QuantConfig qc;
+            qc.bits = bits;
+            qc.key_granularity = gran;
+            const int d = 64;
+            kv::PackedHeadCache cache(d, qc, layout::WarpTiling{});
+            const int nr = cache.residualBlockSize();
+            Rng rng(2026 + bits);
+            for (int t = 0; t < nr; t++) {
+                std::vector<Half> k(static_cast<std::size_t>(d)),
+                    v(static_cast<std::size_t>(d));
                 for (int c = 0; c < d; c++) {
-                    const std::size_t tm =
-                        static_cast<std::size_t>(t) * d + c; // token-major
-                    const std::size_t cm =
-                        static_cast<std::size_t>(c) * nr + t; // channel-major
-                    ASSERT_TRUE(sameBits(k_simd[cm], k_ref[tm]))
-                        << name << " K bits=" << bits << " t=" << t
-                        << " c=" << c;
-                    ASSERT_TRUE(sameBits(v_simd[tm], v_ref[tm]))
-                        << name << " V bits=" << bits << " t=" << t
-                        << " c=" << c;
+                    switch (rng.uniformInt(4)) {
+                    case 0: // denormal half
+                        k[static_cast<std::size_t>(c)] =
+                            Half::fromBits(static_cast<std::uint16_t>(
+                                1 + rng.uniformInt(0x3FF)));
+                        break;
+                    case 1: // near half-max
+                        k[static_cast<std::size_t>(c)] = Half(
+                            60000.f * (rng.normal() > 0 ? 1.f : -1.f));
+                        break;
+                    default:
+                        k[static_cast<std::size_t>(c)] = Half(rng.normal());
+                    }
+                    v[static_cast<std::size_t>(c)] =
+                        Half(rng.normal() * 100.f);
                 }
+                cache.append(k, v);
+            }
+            ASSERT_EQ(static_cast<int>(cache.keyBlocks().size()), 1);
+            Tensor<Half> k_ref, v_ref;
+            cache.dequantizeAll(k_ref, v_ref);
+            const std::size_t n = static_cast<std::size_t>(nr) * d;
+            for (const auto& [kt, name] : tables) {
+                const auto dequant =
+                    [&, kt = kt, name = name](
+                        const kv::PackedBlock& blk,
+                        const exec::simd::LinearDequantPlan& plan) {
+                        const std::size_t groups = blk.params.numel();
+                        std::vector<float> values(
+                            (groups << bits) + exec::simd::kGroupValuesPad);
+                        kt->group_values(blk.params.data(), groups, bits,
+                                         values.data());
+                        for (std::size_t g = 0; g < groups; g++) {
+                            const auto p =
+                                quant::QuantParams::fromHalf2(blk.params[g]);
+                            inf_bias_groups +=
+                                std::isinf(quant::dequantMagicValue(0, p));
+                            for (int q = 0; q < (1 << bits); q++)
+                                EXPECT_TRUE(sameBits(
+                                    values[(g << bits) |
+                                           static_cast<std::size_t>(q)],
+                                    quant::dequantMagicValue(
+                                        static_cast<std::uint8_t>(q), p)))
+                                    << name << " bits=" << bits
+                                    << " group=" << g << " code=" << q;
+                        }
+                        std::vector<float> out(n, -1.f);
+                        kt->dequant_linear(blk.units.data(), plan.unit.data(),
+                                           plan.shift.data(),
+                                           plan.param.data(), plan.size(),
+                                           bits, plan.group_run,
+                                           values.data(), out.data());
+                        return out;
+                    };
+                const std::vector<float> k_simd =
+                    dequant(cache.keyBlocks()[0], cache.keyLinearPlan());
+                const std::vector<float> v_simd =
+                    dequant(cache.valueBlocks()[0], cache.valueLinearPlan());
+                for (int t = 0; t < nr; t++)
+                    for (int c = 0; c < d; c++) {
+                        const std::size_t tt = static_cast<std::size_t>(t);
+                        const std::size_t cc = static_cast<std::size_t>(c);
+                        ASSERT_TRUE(sameBits(k_simd[cc * nr + tt],
+                                             k_ref.at(tt, cc).toFloat()))
+                            << name << " K bits=" << bits << " t=" << t
+                            << " c=" << c;
+                        ASSERT_TRUE(sameBits(v_simd[tt * d + cc],
+                                             v_ref.at(tt, cc).toFloat()))
+                            << name << " V bits=" << bits << " t=" << t
+                            << " c=" << c;
+                    }
+            }
         }
     }
+    EXPECT_GT(inf_bias_groups, 0) << "no group overflowed its folded bias";
 }
+
+/** Shapes that stress the vector tails: contexts not divisible by any
+ *  vector width, single-token pages, ranges straddling page boundaries. */
+struct TailShape
+{
+    int context, head_dim, gq, page_size;
+};
 
 TEST(SimdProperties, TailShapesDigestEqualToScalarTwin)
 {
-    // End-to-end digest equality between every available SIMD sibling
-    // and its scalar twin over shapes chosen to stress the vector tails:
-    // contexts not divisible by any vector width, single-token pages,
-    // ranges straddling page boundaries, and head dims off the 8-lane
-    // grid (fp16/paged only; the packed cache constrains d).
+    // End-to-end digest equality between every available fp16/paged SIMD
+    // sibling and its scalar twin, including head dims off the 8-lane
+    // grid.
     auto& reg = backend::BackendRegistry::instance();
-    struct Shape
-    {
-        int context, head_dim, gq, page_size;
-    };
-    const std::vector<Shape> general = {
+    const std::vector<TailShape> shapes = {
         {1, 32, 1, 1},     // single token, single-token pages
         {7, 24, 2, 3},     // d % 8 != 0, tiny pages
         {97, 40, 4, 13},   // page-straddling odd context
         {129, 32, 3, 64},  // one token past a 128-chunk boundary
         {333, 128, 8, 31}, // full-width head, odd everything
-    };
-    const std::vector<Shape> packed_safe = {
-        {1, 32, 1, 1},
-        {97, 32, 4, 13},
-        {129, 64, 3, 64},
-        {333, 128, 8, 31},
     };
     int compared = 0;
     for (const std::string& name : reg.availableNames()) {
@@ -525,8 +553,7 @@ TEST(SimdProperties, TailShapesDigestEqualToScalarTwin)
             twin = name.substr(0, name.size() - 7);
         else
             continue;
-        const bool packed = name.find("packed") != std::string::npos;
-        for (const Shape& s : packed ? packed_safe : general) {
+        for (const TailShape& s : shapes) {
             backend::FixtureConfig fc;
             fc.context = s.context;
             fc.head_dim = s.head_dim;
@@ -548,6 +575,61 @@ TEST(SimdProperties, TailShapesDigestEqualToScalarTwin)
     if (compared == 0)
         GTEST_SKIP() << "host runs no SIMD sibling: "
                      << exec::simd::describeCpuFeatures();
+}
+
+TEST(SimdProperties, FusedPackedDigestEqualAtEveryLevelAndPool)
+{
+    // fused-packed runs at the enabled level: every level this host
+    // supports, with any pool, must give the scalar level's bytes, for
+    // both bit widths, over tail shapes the packed cache allows. A 2-bit
+    // value unit spans 64 channels, so 2-bit heads are at least 64 wide;
+    // 2-bit blocks hold 256 tokens, so short contexts are residual-only.
+    const std::vector<TailShape> shapes = {
+        {1, 32, 1, 1},
+        {97, 32, 4, 13},
+        {129, 64, 3, 64},
+        {333, 128, 8, 31},
+        {1100, 64, 5, 1},
+    };
+    const backend::AttentionBackend& be =
+        backend::BackendRegistry::instance().resolve("fused-packed");
+    exec::ThreadPool pool1(1);
+    exec::ThreadPool pool8(8);
+    int compared = 0;
+    for (int bits : {4, 2}) {
+        for (const TailShape& s : shapes) {
+            backend::FixtureConfig fc;
+            fc.context = s.context;
+            fc.head_dim = bits == 2 ? std::max(s.head_dim, 64) : s.head_dim;
+            fc.gq = s.gq;
+            fc.bits = bits;
+            const backend::DecodeFixture fx(be, fc);
+            backend::DecodeBatch b = fx.batch();
+            b.scale = 0.17f;
+            std::uint64_t scalar = 0;
+            {
+                ScopedSimdEnv env("scalar");
+                scalar = be.digest(b);
+            }
+            for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512}) {
+                if (!exec::simd::levelSupported(l))
+                    continue;
+                ScopedSimdEnv env(exec::simd::toString(l));
+                for (exec::ThreadPool* pool :
+                     {static_cast<exec::ThreadPool*>(nullptr), &pool1,
+                      &pool8}) {
+                    b.pool = pool;
+                    EXPECT_EQ(be.digest(b), scalar)
+                        << exec::simd::toString(l) << " bits=" << bits
+                        << " context=" << s.context << " d=" << fc.head_dim
+                        << " threads="
+                        << (pool ? pool->numThreads() : 0);
+                    compared++;
+                }
+            }
+        }
+    }
+    EXPECT_GE(compared, 2 * 5 * 3);
 }
 
 } // namespace

@@ -2,50 +2,22 @@
  * @file
  * SIMD dispatch tests: the BITDEC_SIMD override (scalar forcing, bogus
  * values, unsupported-ISA requests failing fast with the detected CPU
- * features), availability gating of the sibling backends, and the
- * level/kernel-table invariants of the runtime detection.
+ * features), availability gating of the fp16/paged sibling backends,
+ * fused-packed following the enabled level, and the level/kernel-table
+ * invariants of the runtime detection.
  */
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "backend/registry.h"
 #include "exec/simd/dispatch.h"
+#include "scoped_simd_env.h"
 
 namespace bitdec {
 namespace {
 
 using exec::simd::Level;
-
-/** Scoped BITDEC_SIMD value; restores the previous state on exit. */
-class ScopedSimdEnv
-{
-  public:
-    explicit ScopedSimdEnv(const char* value)
-    {
-        const char* prev = std::getenv("BITDEC_SIMD");
-        had_prev_ = prev != nullptr;
-        if (had_prev_)
-            prev_ = prev;
-        if (value != nullptr)
-            setenv("BITDEC_SIMD", value, 1);
-        else
-            unsetenv("BITDEC_SIMD");
-    }
-
-    ~ScopedSimdEnv()
-    {
-        if (had_prev_)
-            setenv("BITDEC_SIMD", prev_.c_str(), 1);
-        else
-            unsetenv("BITDEC_SIMD");
-    }
-
-  private:
-    bool had_prev_ = false;
-    std::string prev_;
-};
 
 // ------------------------------------------------- level detection ------
 
@@ -159,9 +131,27 @@ TEST(SimdDispatch, SiblingLevelsReportThemselves)
     const backend::AttentionBackend* avx2 = reg.find("fused-paged-avx2");
     ASSERT_NE(avx2, nullptr);
     EXPECT_STREQ(avx2->simdLevel(), "avx2");
-    const backend::AttentionBackend* avx512 = reg.find("fused-packed-avx512");
+    const backend::AttentionBackend* avx512 = reg.find("fused-fp16-avx512");
     ASSERT_NE(avx512, nullptr);
     EXPECT_STREQ(avx512->simdLevel(), "avx512");
+}
+
+TEST(SimdDispatch, FusedPackedReportsTheEnabledLevel)
+{
+    // fused-packed has no siblings: it runs at the enabled level, and
+    // BITDEC_SIMD moves it.
+    auto& reg = backend::BackendRegistry::instance();
+    EXPECT_EQ(reg.find("fused-packed-avx2"), nullptr);
+    EXPECT_EQ(reg.find("fused-packed-avx512"), nullptr);
+    const backend::AttentionBackend& packed = reg.resolve("fused-packed");
+    EXPECT_STREQ(packed.simdLevel(),
+                 exec::simd::toString(exec::simd::enabledLevelCap()));
+    for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512}) {
+        if (!exec::simd::levelSupported(l))
+            continue;
+        ScopedSimdEnv env(exec::simd::toString(l));
+        EXPECT_STREQ(packed.simdLevel(), exec::simd::toString(l));
+    }
 }
 
 } // namespace
