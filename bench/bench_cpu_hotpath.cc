@@ -17,6 +17,11 @@
  * marks it "legacy_estimated": true. The legacy kernel is the same
  * baseline for every backend — the gate is a regression tripwire for
  * the registered hot paths, not a like-for-like bandwidth comparison.
+ *
+ * The full sweep also times `fused-paged` at every SIMD level this host
+ * supports (BITDEC_SIMD scoped per level) on a 32K context in 64-token
+ * pages: the serving slice's shape (one query row, head_dim 4 and 8) and
+ * a model head (gq 8, head_dim 128).
  */
 #include <chrono>
 #include <cmath>
@@ -76,15 +81,46 @@ struct ContextResult
     double host_bytes_per_token; //!< packed cache's host bytes; -1 = N/A
 };
 
-/** The scalar twin of a SIMD sibling name; empty for non-siblings. */
-std::string
-scalarTwinOf(const std::string& name)
+/** fused-paged at every SIMD level on one 32K shape. */
+struct LevelRow
 {
-    if (name.ends_with("-avx2"))
-        return name.substr(0, name.size() - 5);
-    if (name.ends_with("-avx512"))
-        return name.substr(0, name.size() - 7);
-    return {};
+    int head_dim;
+    int gq;
+    double ms[3]; //!< by exec::simd::Level; -1 = unsupported here
+};
+
+constexpr int kLevelRowContext = 32768;
+constexpr int kLevelRowPage = 64;
+
+std::vector<LevelRow>
+runLevelRows()
+{
+    namespace simd = exec::simd;
+    const backend::AttentionBackend& paged =
+        backend::BackendRegistry::instance().resolve("fused-paged");
+    std::vector<LevelRow> rows;
+    for (const auto& [d, gq] : {std::pair{4, 1}, std::pair{8, 1},
+                               std::pair{128, 8}}) {
+        backend::FixtureConfig fc;
+        fc.context = kLevelRowContext;
+        fc.head_dim = d;
+        fc.gq = gq;
+        fc.page_size = kLevelRowPage;
+        const backend::DecodeFixture fx(paged, fc);
+        backend::DecodeBatch b = fx.batch();
+        b.scale = 1.0f / std::sqrt(static_cast<float>(d));
+        LevelRow row{d, gq, {-1.0, -1.0, -1.0}};
+        for (simd::Level l : {simd::Level::Scalar, simd::Level::Avx2,
+                              simd::Level::Avx512}) {
+            if (!simd::levelSupported(l))
+                continue;
+            const ScopedSimdEnv env(simd::toString(l));
+            row.ms[static_cast<int>(l)] =
+                timeMs(d == 128 ? 3 : 20, [&] { paged.decodeStep(b); });
+        }
+        rows.push_back(row);
+    }
+    return rows;
 }
 
 ContextResult
@@ -128,18 +164,11 @@ runContext(const backend::AttentionBackend& be, int context, bool smoke,
     b.scale = scale;
     r.fused_ms_t1 = timeMs(reps, [&] { be.decodeStep(b); });
 
-    // A SIMD backend also times its scalar baseline on the same batch,
-    // recording the vectorization win separately from the vs-legacy
-    // speedup: a sibling's scalar twin (the capability masks are copies,
-    // so the binding fits), or — for a backend that runs at the enabled
-    // level, like fused-packed — itself under BITDEC_SIMD=scalar.
+    // A backend running at a SIMD level also times itself under
+    // BITDEC_SIMD=scalar on the same batch, recording the vectorization
+    // win separately from the vs-legacy speedup.
     r.scalar_twin_ms = -1.0;
-    const std::string twin_name = scalarTwinOf(be.name());
-    if (!twin_name.empty()) {
-        const backend::AttentionBackend& twin =
-            backend::BackendRegistry::instance().resolve(twin_name);
-        r.scalar_twin_ms = timeMs(reps, [&] { twin.decodeStep(b); });
-    } else if (std::strcmp(be.simdLevel(), "scalar") != 0) {
+    if (std::strcmp(be.simdLevel(), "scalar") != 0) {
         const ScopedSimdEnv scalar("scalar");
         r.scalar_twin_ms = timeMs(reps, [&] { be.decodeStep(b); });
     }
@@ -254,6 +283,27 @@ main(int argc, char** argv)
                        {r.paged_gather_ms, r.paged_fused_ms}, "%10.3f");
     }
 
+    std::vector<LevelRow> level_rows;
+    if (!smoke) {
+        level_rows = runLevelRows();
+        bench::section("fused-paged per SIMD level (1 thread, 32K, "
+                       "64-token pages; ns per KV token)");
+        bench::head("d / gq", {"scalar", "avx2", "avx512"});
+        for (const LevelRow& r : level_rows) {
+            std::printf("%-28s",
+                        (std::to_string(r.head_dim) + " / " +
+                         std::to_string(r.gq))
+                            .c_str());
+            for (double ms : r.ms) {
+                if (ms < 0)
+                    std::printf("%10s", "-");
+                else
+                    std::printf("%10.2f", ms * 1e6 / kLevelRowContext);
+            }
+            std::printf("\n");
+        }
+    }
+
     // Machine-readable trajectory record. Smoke runs write to a separate
     // file so a local CI-gate check never clobbers the tracked full-sweep
     // record.
@@ -266,6 +316,8 @@ main(int argc, char** argv)
     }
     std::fprintf(f, "{\n  \"bench\": \"cpu_hotpath\",\n");
     std::fprintf(f, "  \"smoke\": %s,\n", smoke ? "true" : "false");
+    std::fprintf(f, "  \"commit\": \"%s\",\n  \"build_type\": \"%s\",\n",
+                 BITDEC_GIT_COMMIT, BITDEC_BUILD_TYPE);
     std::fprintf(f, "  \"backend\": \"%s\",\n", be.name());
     std::fprintf(f, "  \"cpu_features\": \"%s\",\n  \"simd_level\": \"%s\",\n",
                  exec::simd::describeCpuFeatures().c_str(), be.simdLevel());
@@ -316,7 +368,31 @@ main(int argc, char** argv)
             twin, host, gather, r.paged_fused_ms,
             i + 1 < results.size() ? "," : "");
     }
-    std::fprintf(f, "  ]\n}\n");
+    std::fprintf(f, "  ]");
+    if (!level_rows.empty()) {
+        std::fprintf(f, ",\n  \"paged_levels\": {\"backend\": "
+                        "\"fused-paged\", \"context\": %d, "
+                        "\"page_size\": %d, \"rows\": [\n",
+                     kLevelRowContext, kLevelRowPage);
+        for (std::size_t i = 0; i < level_rows.size(); i++) {
+            const LevelRow& r = level_rows[i];
+            std::fprintf(f, "    {\"head_dim\": %d, \"gq\": %d, \"ms\": {",
+                         r.head_dim, r.gq);
+            bool first = true;
+            for (int l = 0; l < 3; l++) {
+                if (r.ms[l] < 0)
+                    continue;
+                std::fprintf(f, "%s\"%s\": %.4f", first ? "" : ", ",
+                             exec::simd::toString(
+                                 static_cast<exec::simd::Level>(l)),
+                             r.ms[l]);
+                first = false;
+            }
+            std::fprintf(f, "}}%s\n", i + 1 < level_rows.size() ? "," : "");
+        }
+        std::fprintf(f, "  ]}");
+    }
+    std::fprintf(f, "\n}\n");
     std::fclose(f);
     std::printf("\nwrote %s\n", json_path);
 

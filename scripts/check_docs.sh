@@ -12,8 +12,8 @@
 #  4. docs/CLUSTER.md must exist and cover the cluster module — the
 #     sharding/invariance contract backs the cluster CI gate.
 #  5. docs/BACKENDS.md must cover src/exec/simd/ — the SIMD dispatch
-#     layer and its bit-exactness contract back the sibling backends
-#     and the forced-scalar CI leg.
+#     layer and its bit-exactness contract back every fused backend and
+#     the forced-level CI legs.
 #  6. docs/NETWORK.md must exist and cover the net module — the wire
 #     protocol and drain semantics back the server smoke CI gate.
 #

@@ -227,11 +227,10 @@ class AttentionBackend
     virtual BackendCapabilities capabilities() const = 0;
 
     /**
-     * True when this host can execute the backend right now. The SIMD
-     * siblings return false when the CPU/OS lacks their ISA or
-     * `BITDEC_SIMD` caps the level below it; everything else is always
-     * available. The registry hides unavailable backends from listings
-     * and capability resolution, and resolving one by name is fatal.
+     * True when this host can execute the backend right now. Every
+     * builtin backend runs on every host (the fused ones dispatch on the
+     * enabled SIMD level themselves); decorators forward their inner
+     * backend's answer.
      */
     virtual bool available() const { return true; }
 
@@ -239,8 +238,9 @@ class AttentionBackend
     virtual std::string unavailableReason() const { return {}; }
 
     /** SIMD level the hot loops run at: "scalar", "avx2" or "avx512"
-     *  (for `fused-packed`, the enabled level at the time of the call).
-     *  Recorded in the bench JSON next to the detected CPU features. */
+     *  (for the fused backends, the enabled level at the time of the
+     *  call). Recorded in the bench JSON next to the detected CPU
+     *  features. */
     virtual const char* simdLevel() const { return "scalar"; }
 
     /**

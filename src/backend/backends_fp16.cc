@@ -1,15 +1,17 @@
 /**
  * @file
  * FP16 backends: the `reference` oracle, the `flash` FlashDecoding
- * baseline, and the `fused-fp16` execution-backend hot path. All three
- * consume contiguous FP16 caches; `reference` additionally gathers paged
- * sequences, which makes it the slow-but-trustworthy serving oracle.
+ * baseline, and the `fused-fp16` execution-backend hot path (at the
+ * host's enabled SIMD level). All three consume contiguous FP16 caches;
+ * `reference` additionally gathers paged sequences, which makes it the
+ * slow-but-trustworthy serving oracle.
  */
 #include "attention/flash_decoding.h"
 #include "attention/reference.h"
 #include "backend/registry.h"
 #include "common/logging.h"
 #include "exec/fused_attention.h"
+#include "exec/simd/dispatch.h"
 #include "kvcache/kv_cache.h"
 #include "kvcache/paged_cache.h"
 
@@ -125,6 +127,12 @@ class FusedFp16Backend : public AttentionBackend
 {
   public:
     const char* name() const override { return "fused-fp16"; }
+
+    /** The level fusedFp16Attention dispatches to right now. */
+    const char* simdLevel() const override
+    {
+        return exec::simd::toString(exec::simd::enabledLevelCap());
+    }
 
     BackendCapabilities capabilities() const override
     {

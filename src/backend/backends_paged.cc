@@ -2,10 +2,12 @@
  * @file
  * `fused-paged`: decode attention straight over the paged KV pool
  * (page-table indirection, no gather copies) — the serving engine's
- * per-step functional attention backend.
+ * per-step functional attention backend. Runs at the host's enabled SIMD
+ * level, with the same bytes at every level.
  */
 #include "backend/registry.h"
 #include "exec/fused_attention.h"
+#include "exec/simd/dispatch.h"
 #include "kvcache/paged_cache.h"
 
 namespace bitdec::backend {
@@ -16,6 +18,12 @@ class FusedPagedBackend : public AttentionBackend
 {
   public:
     const char* name() const override { return "fused-paged"; }
+
+    /** The level fusedPagedAttention dispatches to right now. */
+    const char* simdLevel() const override
+    {
+        return exec::simd::toString(exec::simd::enabledLevelCap());
+    }
 
     BackendCapabilities capabilities() const override
     {

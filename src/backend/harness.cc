@@ -46,6 +46,13 @@ DecodeFixture::DecodeFixture(const AttentionBackend& be,
     randomize(q_, rng);
 
     const int d = cfg.head_dim;
+    if (cfg.outlier_keys)
+        for (int t = 0; t < cfg.context; t++)
+            for (int c = 0; c < d; c += 16) {
+                Half& h = k_.at(static_cast<std::size_t>(t),
+                                static_cast<std::size_t>(c));
+                h = Half(h.toFloat() * 16.f); // exact: a power of two
+            }
     DecodeItem item;
     switch (binding_) {
     case Binding::Fp16Contiguous: {
@@ -114,25 +121,34 @@ DecodeFixture::DecodeFixture(const AttentionBackend& be,
     batch_.items.push_back(item);
 }
 
-Tensor<float>
-DecodeFixture::referenceOutput(float scale) const
+void
+DecodeFixture::boundKv(Tensor<Half>& k, Tensor<Half>& v) const
 {
     switch (binding_) {
     case Binding::Fp16Contiguous:
     case Binding::PagedFp16:
-        return attn::referenceAttention(q_, k_, v_, scale);
-    case Binding::PackedLowBit: {
-        Tensor<Half> kd, vd;
-        decoder_->cache().dequantizeAll(kd, vd);
-        return attn::referenceAttention(q_, kd, vd, scale);
-    }
+        k = k_;
+        v = v_;
+        return;
+    case Binding::PackedLowBit:
+        decoder_->cache().dequantizeAll(k, v);
+        return;
     case Binding::QuantizedMatrices:
-        return attn::referenceAttention(q_, quant::dequantizeMatrix(*kq_),
-                                        quant::dequantizeMatrix(*vq_), scale);
+        k = quant::dequantizeMatrix(*kq_);
+        v = quant::dequantizeMatrix(*vq_);
+        return;
     case Binding::MxBlocks:
         break;
     }
     BITDEC_PANIC("no flat-tensor reference for the MX binding");
+}
+
+Tensor<float>
+DecodeFixture::referenceOutput(float scale) const
+{
+    Tensor<Half> k, v;
+    boundKv(k, v);
+    return attn::referenceAttention(q_, k, v, scale);
 }
 
 } // namespace bitdec::backend

@@ -34,6 +34,13 @@ struct FixtureConfig
     int bits = 4;                //!< low-bit bindings: 4 or 2
     std::uint64_t seed = 2026;   //!< content stream seed
     quant::MxKind mx_kind = quant::MxKind::MXFP4;
+    /**
+     * Outlier key channels, as KVQuant reports them for pre-RoPE keys:
+     * every 16th key channel (channel 0 at d < 16) scaled by 16. Applied
+     * after the content stream is drawn, so the other values are those
+     * of the plain fixture.
+     */
+    bool outlier_keys = false;
 };
 
 /**
@@ -70,11 +77,14 @@ class DecodeFixture
     const Tensor<Half>& query() const { return q_; }
 
     /**
-     * FP32 reference attention over the content the fixture actually
-     * bound: raw K/V for FP16 bindings, the dequantized round trip for
-     * the low-bit ones. Panics for the MX binding (block-scale semantics
-     * have no flat-tensor equivalent; use mxAttention parity instead).
+     * The K/V content the fixture actually bound: raw K/V for FP16
+     * bindings, the dequantized round trip for the low-bit ones. Panics
+     * for the MX binding (block-scale semantics have no flat-tensor
+     * equivalent; use mxAttention parity instead).
      */
+    void boundKv(Tensor<Half>& k, Tensor<Half>& v) const;
+
+    /** FP32 reference attention over boundKv(). */
     Tensor<float> referenceOutput(float scale) const;
 
   private:

@@ -12,15 +12,13 @@ int linkFp16Backends();
 int linkLowbitBackends();
 int linkPagedBackends();
 int linkMxBackends();
-int linkSimdBackends();
 
 BackendRegistry&
 BackendRegistry::instance()
 {
     static BackendRegistry registry;
     static const int anchors = linkFp16Backends() + linkLowbitBackends() +
-                               linkPagedBackends() + linkMxBackends() +
-                               linkSimdBackends();
+                               linkPagedBackends() + linkMxBackends();
     (void)anchors;
     return registry;
 }
@@ -49,10 +47,6 @@ BackendRegistry::resolve(const std::string& name) const
         BITDEC_FATAL("unknown attention backend '", name,
                      "' (registered: ", known, ")");
     }
-    if (!it->second->available())
-        BITDEC_FATAL("attention backend '", name,
-                     "' is unavailable on this host: ",
-                     it->second->unavailableReason());
     return *it->second;
 }
 
@@ -71,8 +65,6 @@ BackendRegistry::resolveCapable(const ResolveQuery& query) const
     // Map order = name order, so the first fused (or first overall) match
     // is the deterministic winner.
     for (const auto& [name, b] : backends_) {
-        if (!b->available())
-            continue;
         const BackendCapabilities caps = b->capabilities();
         if (!caps.supportsCache(query.cache) ||
             !caps.supportsFormat(query.format) ||
@@ -102,32 +94,20 @@ BackendRegistry::names() const
 }
 
 std::vector<std::string>
-BackendRegistry::availableNames() const
-{
-    std::vector<std::string> out;
-    for (const auto& [n, b] : backends_)
-        if (b->available())
-            out.push_back(n);
-    return out;
-}
-
-std::vector<std::string>
 BackendRegistry::fusedNames() const
 {
     std::vector<std::string> out;
     for (const auto& [n, b] : backends_)
-        if (b->capabilities().fused_hot_path && b->available())
+        if (b->capabilities().fused_hot_path)
             out.push_back(n);
     return out;
 }
 
 std::string
-BackendRegistry::capabilityMatrix(bool available_only) const
+BackendRegistry::capabilityMatrix() const
 {
     std::string out;
     for (const auto& [n, b] : backends_) {
-        if (available_only && !b->available())
-            continue;
         out += "  ";
         out += n;
         out.append(n.size() < 20 ? 20 - n.size() : 1, ' ');

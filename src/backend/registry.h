@@ -46,10 +46,8 @@ class BackendRegistry
 
     /**
      * Returns the backend registered under @p name; unknown names are a
-     * fatal error listing every registered name, and a backend that is
-     * unavailable on this host (e.g. an AVX-512 sibling on an AVX2-only
-     * CPU, or a level disabled by BITDEC_SIMD) is a fatal error naming
-     * the reason (fail fast — never fall back to a default).
+     * fatal error listing every registered name (fail fast — never fall
+     * back to a default).
      */
     AttentionBackend& resolve(const std::string& name) const;
 
@@ -57,27 +55,22 @@ class BackendRegistry
     const AttentionBackend* find(const std::string& name) const;
 
     /**
-     * Resolves the best backend for a capability query, skipping backends
-     * unavailable on this host. Among matches the fused hot paths win;
-     * ties break to the lexicographically smallest name, so resolution is
-     * deterministic. No match is a fatal error printing the query and the
-     * full capability matrix.
+     * Resolves the best backend for a capability query. Among matches the
+     * fused hot paths win; ties break to the lexicographically smallest
+     * name, so resolution is deterministic. No match is a fatal error
+     * printing the query and the full capability matrix.
      */
     AttentionBackend& resolveCapable(const ResolveQuery& query) const;
 
-    /** Registered names, sorted (including host-unavailable backends). */
+    /** Registered names, sorted. */
     std::vector<std::string> names() const;
 
-    /** Names available on this host, sorted. */
-    std::vector<std::string> availableNames() const;
-
-    /** Names of the fused hot-path backends available on this host (the
-     *  CI perf-gate set), sorted. */
+    /** Names of the fused hot-path backends (the CI perf-gate set),
+     *  sorted. */
     std::vector<std::string> fusedNames() const;
 
-    /** Multi-line capability matrix (listings, error messages);
-     *  @p available_only drops backends this host cannot run. */
-    std::string capabilityMatrix(bool available_only = false) const;
+    /** Multi-line capability matrix (listings, error messages). */
+    std::string capabilityMatrix() const;
 
     /** Number of registered backends. */
     int size() const { return static_cast<int>(backends_.size()); }

@@ -405,8 +405,10 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
 {
     namespace simd = exec::simd;
     // The host's enabled level (BITDEC_SIMD caps it), resolved once per
-    // call; null at scalar, which runs the portable loops.
+    // call; null at scalar, which dequantizes through the route tables.
     const simd::KernelTable* kt = simd::kernels(simd::enabledLevelCap());
+    const simd::FoldTileFn fold =
+        kt != nullptr ? kt->fold_tile : exec::foldTile;
 
     const int d = cache.headDim();
     const int gq = static_cast<int>(q_tile.dim(0));
@@ -425,77 +427,62 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
     const int n_blocks = static_cast<int>(k_blocks.size());
     const int n_chunks = (n_blocks + kChunkBlocks - 1) / kChunkBlocks;
 
-    std::vector<exec::SoftmaxPartial> parts(static_cast<std::size_t>(n_chunks));
-
-    exec::parallelFor(pool, static_cast<std::size_t>(n_chunks), [&](
-                                                                    std::size_t
-                                                                        ci) {
-        exec::SoftmaxPartial& st = parts[ci];
-        st.init(gq, d);
-
-        // Reusable scratch: one dequantized [Nr x d] tile each for K and V,
-        // plus the SIMD path's group values and logits. Thread-local,
-        // grow-only — zero allocations in steady state.
-        thread_local std::vector<float> kd, vd, values, s;
-        const std::size_t tile = static_cast<std::size_t>(nr) * dd;
-        if (kd.size() < tile) {
-            kd.resize(tile);
-            vd.resize(tile);
-        }
-        if (s.size() < static_cast<std::size_t>(nr))
-            s.resize(static_cast<std::size_t>(nr));
-
-        const int b0 = static_cast<int>(ci) * kChunkBlocks;
-        const int b1 = std::min(n_blocks, b0 + kChunkBlocks);
-        for (int blk = b0; blk < b1; blk++) {
-            const kv::PackedBlock& kb = k_blocks[static_cast<std::size_t>(blk)];
-            const kv::PackedBlock& vb = v_blocks[static_cast<std::size_t>(blk)];
-            // P rounds through half precision exactly like the sAcc
-            // round trip (round_p = true).
-            if (kt == nullptr) {
-                exec::dequantBlock(kb.units, cache.keyRoutes(), kb.params,
-                                   bits, kd.data());
-                exec::dequantBlock(vb.units, cache.valueRoutes(), vb.params,
-                                   bits, vd.data());
-                exec::foldTile(qf.data(), gq, d, kd.data(), vd.data(), nr,
-                               scale, st, /*round_p=*/true);
-                continue;
+    exec::SoftmaxPartial run = exec::foldChunks(
+        gq, d, static_cast<std::size_t>(n_chunks), pool,
+        [&](std::size_t ci, float* m, float* l, float* acc) {
+            // Reusable scratch: one dequantized [Nr x d] tile each for K
+            // (channel-major) and V, the scalar path's token-major K, the
+            // SIMD path's group values and the fold's scratch.
+            // Thread-local, grow-only — zero allocations in steady state.
+            thread_local std::vector<float> kd, vd, krows, values, s;
+            const std::size_t tile = static_cast<std::size_t>(nr) * dd;
+            if (kd.size() < tile) {
+                kd.resize(tile);
+                vd.resize(tile);
             }
-            // K dequantizes channel-major ([d x Nr], token stride nr)
-            // straight through the remapped linear plan — no transpose.
-            dequantLinear(*kt, kb, cache.keyLinearPlan(), values, kd.data());
-            dequantLinear(*kt, vb, cache.valueLinearPlan(), values,
-                          vd.data());
-            kt->fold_tile(qf.data(), gq, d, kd.data(), /*t_stride=*/nr,
-                          vd.data(), nr, scale, st.m.data(), st.l.data(),
-                          st.acc.data(), s.data(), /*round_p=*/true);
-        }
-    });
+            if (kt == nullptr && krows.size() < tile)
+                krows.resize(tile);
+            const std::size_t scratch = exec::foldScratchFloats(gq, nr);
+            if (s.size() < scratch)
+                s.resize(scratch);
 
-    // Deterministic reduction: merge chunk partials sequentially in chunk
-    // order (the split-KV log-sum-exp combine).
-    exec::SoftmaxPartial run = exec::mergePartials(parts, gq, d);
+            const int b0 = static_cast<int>(ci) * kChunkBlocks;
+            const int b1 = std::min(n_blocks, b0 + kChunkBlocks);
+            for (int blk = b0; blk < b1; blk++) {
+                const kv::PackedBlock& kb =
+                    k_blocks[static_cast<std::size_t>(blk)];
+                const kv::PackedBlock& vb =
+                    v_blocks[static_cast<std::size_t>(blk)];
+                if (kt == nullptr) {
+                    // Token-major K and V through the route tables.
+                    exec::dequantBlock(kb.units, cache.keyRoutes(),
+                                       kb.params, bits, krows.data());
+                    exec::transposeTile(krows.data(), nr, d, kd.data(), nr);
+                    exec::dequantBlock(vb.units, cache.valueRoutes(),
+                                       vb.params, bits, vd.data());
+                } else {
+                    // K dequantizes channel-major ([d x Nr]) straight
+                    // through the remapped linear plan — no transpose.
+                    dequantLinear(*kt, kb, cache.keyLinearPlan(), values,
+                                  kd.data());
+                    dequantLinear(*kt, vb, cache.valueLinearPlan(), values,
+                                  vd.data());
+                }
+                // P rounds through half precision exactly like the sAcc
+                // round trip (round_p = true).
+                fold(qf.data(), gq, d, kd.data(), nr, vd.data(), nr, scale,
+                     m, l, acc, s.data(), /*round_p=*/true);
+            }
+        });
 
-    // FP16 residual tail, merged online — same arithmetic as the reference
-    // kernel's residual pass (plain float P, no half rounding).
+    // FP16 residual tail, folded into the merged state — plain float P,
+    // no half rounding.
     const int res_len = cache.residualLength();
-    if (res_len > 0) {
-        const std::size_t live = static_cast<std::size_t>(res_len) * dd;
-        std::vector<float> krf(live), vrf(live);
-        toFloat(cache.residualValues().data(), vrf.data(), live);
-        if (kt == nullptr) {
-            toFloat(cache.residualKeys().data(), krf.data(), live);
-            exec::foldTile(qf.data(), gq, d, krf.data(), vrf.data(), res_len,
-                           scale, run);
-        } else {
-            std::vector<float> rs(static_cast<std::size_t>(res_len));
-            kt->convert_transpose(cache.residualKeys().data(), res_len, d,
-                                  krf.data(), res_len);
-            kt->fold_tile(qf.data(), gq, d, krf.data(), res_len, vrf.data(),
-                          res_len, scale, run.m.data(), run.l.data(),
-                          run.acc.data(), rs.data(), /*round_p=*/false);
-        }
-    }
+    if (res_len > 0)
+        exec::foldHalfTile(kt, qf.data(), gq, d,
+                           cache.residualKeys().data(),
+                           cache.residualValues().data(), res_len, scale,
+                           run.m.data(), run.l.data(), run.acc.data());
 
     return exec::finalizePartial(run, gq, d);
 }

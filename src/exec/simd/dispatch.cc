@@ -131,20 +131,30 @@ maxSupportedLevel()
     return Level::Scalar;
 }
 
+namespace {
+
+/** Parses a BITDEC_SIMD level name; false when it is none. */
+bool
+parseLevel(const char* value, Level& out)
+{
+    for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512})
+        if (std::strcmp(value, toString(l)) == 0) {
+            out = l;
+            return true;
+        }
+    return false;
+}
+
+} // namespace
+
 Level
 resolveSimdOverride(const char* value, Level max_supported,
                     const std::string& features)
 {
     if (value == nullptr || *value == '\0')
         return max_supported;
-    Level want;
-    if (std::strcmp(value, "scalar") == 0)
-        want = Level::Scalar;
-    else if (std::strcmp(value, "avx2") == 0)
-        want = Level::Avx2;
-    else if (std::strcmp(value, "avx512") == 0)
-        want = Level::Avx512;
-    else
+    Level want = Level::Scalar;
+    if (!parseLevel(value, want))
         BITDEC_FATAL("BITDEC_SIMD='", value,
                      "' is not a SIMD level (use scalar, avx2 or avx512)");
     if (want > max_supported)
@@ -158,28 +168,15 @@ resolveSimdOverride(const char* value, Level max_supported,
 Level
 enabledLevelCap()
 {
-    return resolveSimdOverride(std::getenv("BITDEC_SIMD"),
-                               maxSupportedLevel(), describeCpuFeatures());
-}
-
-bool
-levelEnabled(Level l)
-{
-    return levelSupported(l) && l <= enabledLevelCap();
-}
-
-std::string
-unavailableReason(Level l)
-{
-    if (!levelSupported(l))
-        return std::string("requires ") + toString(l) +
-               " (detected CPU features: " + describeCpuFeatures() + ")";
-    if (l > enabledLevelCap()) {
-        const char* env = std::getenv("BITDEC_SIMD");
-        return std::string("disabled by BITDEC_SIMD=") +
-               (env != nullptr ? env : "");
-    }
-    return {};
+    static const Level max_supported = maxSupportedLevel();
+    const char* value = std::getenv("BITDEC_SIMD");
+    if (value == nullptr || *value == '\0')
+        return max_supported;
+    Level want = Level::Scalar;
+    if (parseLevel(value, want) && want <= max_supported)
+        return want;
+    // Fatal path only: the override is bogus or asks for too much.
+    return resolveSimdOverride(value, max_supported, describeCpuFeatures());
 }
 
 const KernelTable*

@@ -8,10 +8,9 @@
  * register state (XCR0), and the matching kernel TU was compiled in.
  * `BITDEC_SIMD` caps the level (scalar < avx2 < avx512); naming a level
  * this host cannot run is a fatal error that lists the detected CPU
- * features — never a silent fallback. `fused-packed` runs at
- * enabledLevelCap(); the fp16/paged sibling backends (fused-fp16-avx2,
- * fused-paged-avx512, ...) gate their availability on levelEnabled(), so
- * listings hide and resolution rejects what the host cannot execute.
+ * features — never a silent fallback. Every fused backend runs at
+ * enabledLevelCap(), read once per decode call; every level gives the
+ * same bytes (kernel_table.h).
  */
 #ifndef BITDEC_EXEC_SIMD_DISPATCH_H
 #define BITDEC_EXEC_SIMD_DISPATCH_H
@@ -65,13 +64,10 @@ bool levelSupported(Level l);
  * The level cap after applying BITDEC_SIMD: maxSupportedLevel() when the
  * variable is unset/empty; otherwise the named level. Fatal when the
  * value is not a level name, or names a level this host cannot run (the
- * error lists the detected CPU features).
+ * error lists the detected CPU features). Cheap enough for every decode
+ * call: the feature list is built only on the fatal path.
  */
 Level enabledLevelCap();
-
-/** levelSupported(l) && l <= enabledLevelCap() — what sibling-backend
- *  availability gates on. */
-bool levelEnabled(Level l);
 
 /**
  * Pure core of enabledLevelCap(), exposed so tests can probe the
@@ -81,9 +77,6 @@ bool levelEnabled(Level l);
  */
 Level resolveSimdOverride(const char* value, Level max_supported,
                           const std::string& features);
-
-/** Why levelEnabled(l) is false; empty when it is true. */
-std::string unavailableReason(Level l);
 
 /** The kernel table of @p l; null for Scalar or a level not compiled
  *  in. Callers on the hot path resolve once per decode, not per tile. */

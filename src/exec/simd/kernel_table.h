@@ -11,15 +11,18 @@
  * way an AVX-512-encoded std::vector helper ends up running on an AVX2
  * machine).
  *
- * Determinism contract (what makes a SIMD backend digest-identical to
- * its scalar twin): every kernel replicates the scalar arithmetic order
- * per output element. QK vectorizes across tokens (one lane per token,
- * channels accumulated sequentially, separate mul+add — never FMA; the
- * TUs also compile with -ffp-contract=off), PV vectorizes across
- * channels (tokens accumulated sequentially per channel), max/exp/
- * half-rounding stay scalar per token, conversion is exact, group values
- * round through binary16 exactly as the scalar arithmetic does, and the
- * per-code dequant is an integer-exact lookup. See docs/BACKENDS.md.
+ * Determinism contract (what makes every level digest-identical): the
+ * fold and its exp follow one arithmetic at a fixed virtual width of 16
+ * lanes (fold16.h), in which every reduction order depends on (gq,
+ * head_dim) alone — QK in per-token channel order, the exp-sum striding
+ * by token mod 16, PV one lane per (row, channel) or, when gq * d < 16,
+ * spare lanes given to tokens, one fixed combine tree, and a mul/add-only
+ * exp. The scalar level emulates the 16 lanes with arrays, AVX2 runs them
+ * as two registers and AVX-512 as one; the whole library compiles with
+ * -ffp-contract=off so no level fuses a mul/add pair. Conversion is
+ * exact, group values round through binary16 exactly as the scalar
+ * arithmetic does, and the per-code dequant is an integer-exact lookup.
+ * See docs/BACKENDS.md.
  */
 #ifndef BITDEC_EXEC_SIMD_KERNEL_TABLE_H
 #define BITDEC_EXEC_SIMD_KERNEL_TABLE_H
@@ -33,6 +36,18 @@ namespace bitdec::exec::simd {
 
 /** Floats past a group-values table that a row lookup may read. */
 constexpr std::size_t kGroupValuesPad = 16;
+
+/**
+ * One K/V tile folded into a split-softmax partial state (the arrays of
+ * exec::SoftmaxPartial) with the 16-lane arithmetic. K is channel-major
+ * (element (t, c) at kT[c * k_stride + t]), V token-major [tokens x d].
+ * @p scratch holds exec::foldScratchFloats(gq, tokens) floats.
+ * exec::foldTile is the scalar level of the same signature.
+ */
+using FoldTileFn = void (*)(const float* qf, int gq, int d, const float* kT,
+                            int k_stride, const float* vf, int tokens,
+                            float scale, float* m, float* l, float* acc,
+                            float* scratch, bool round_p);
 
 /** The hot loops + the Half->float conversions they feed on. */
 struct KernelTable
@@ -48,18 +63,11 @@ struct KernelTable
     void (*convert_transpose)(const Half* src, int tokens, int d, float* kT,
                               int t_stride);
 
-    /**
-     * One K/V tile folded into a split-softmax partial state — the SIMD
-     * twin of exec::foldTile, bit-identical to it by construction.
-     *
-     * @param kT  channel-major float keys, [d x t_stride]
-     * @param vf  token-major float values, [tokens x d]
-     * @param m,l,acc  the partial state's arrays (SoftmaxPartial fields)
-     * @param s   caller scratch, >= tokens floats
-     */
-    void (*fold_tile)(const float* qf, int gq, int d, const float* kT,
-                      int t_stride, const float* vf, int tokens, float scale,
-                      float* m, float* l, float* acc, float* s, bool round_p);
+    /** The 16-lane fold at this level; bit-identical to exec::foldTile. */
+    FoldTileFn fold_tile;
+
+    /** The fold's exp over @p n floats; bit-identical to exec::foldExp. */
+    void (*exp_rows)(const float* x, std::size_t n, float* out);
 
     /**
      * Derives one block's dequantized values from its parameters:

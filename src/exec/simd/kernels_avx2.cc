@@ -1,9 +1,9 @@
 /**
  * @file
- * AVX2 (+F16C) kernel table. Compiled with -mavx2 -mf16c
- * -ffp-contract=off (CMake per-source flags); on targets or compilers
- * without those flags the TU degrades to a null table and runtime
- * dispatch reports the level unsupported.
+ * AVX2 (+F16C) kernel table: the 16-lane fold runs as two 8-lane
+ * registers. Compiled with -mavx2 -mf16c (CMake per-source flags); on
+ * targets or compilers without those flags the TU degrades to a null
+ * table and runtime dispatch reports the level unsupported.
  */
 #include "exec/simd/kernel_table.h"
 
@@ -27,6 +27,53 @@ struct VecAvx2
     static void store(float* p, F v) { _mm256_storeu_ps(p, v); }
     static F mul(F a, F b) { return _mm256_mul_ps(a, b); }
     static F add(F a, F b) { return _mm256_add_ps(a, b); }
+    static F sub(F a, F b) { return _mm256_sub_ps(a, b); }
+    static F max(F a, F b) { return _mm256_max_ps(a, b); }
+    static F min(F a, F b) { return _mm256_min_ps(a, b); }
+
+    /** All-ones in lanes < n (0 < n < 8 at every call site that masks). */
+    static I laneMask(int n)
+    {
+        return _mm256_cmpgt_epi32(_mm256_set1_epi32(n),
+                                  _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+    }
+    static F loadMasked(const float* p, int n)
+    {
+        if (n <= 0)
+            return zero();
+        return _mm256_maskload_ps(p, laneMask(n));
+    }
+    static F select(int n, F a, F b)
+    {
+        if (n >= W)
+            return a;
+        if (n <= 0)
+            return b;
+        return _mm256_blendv_ps(b, a, _mm256_castsi256_ps(laneMask(n)));
+    }
+    static F permuteLoad(const float* window, I idx)
+    {
+        return _mm256_permutevar8x32_ps(_mm256_loadu_ps(window), idx);
+    }
+    static I expandIndex(int first, int d)
+    {
+        alignas(32) std::int32_t idx[W];
+        // (first + i) / d - first / d, counted up without dividing.
+        for (int i = 0, k = 0, rem = first % d; i < W; i++) {
+            idx[i] = k;
+            if (++rem == d) {
+                rem = 0;
+                k++;
+            }
+        }
+        return _mm256_load_si256(reinterpret_cast<const __m256i*>(idx));
+    }
+    static I bitsOf(F x) { return _mm256_castps_si256(x); }
+    static F fromBits(I x) { return _mm256_castsi256_ps(x); }
+    static I addI(I a, I b) { return _mm256_add_epi32(a, b); }
+    static I subI(I a, I b) { return _mm256_sub_epi32(a, b); }
+    static I shiftRight1(I a) { return _mm256_srai_epi32(a, 1); }
+    static I shiftLeft23(I a) { return _mm256_slli_epi32(a, 23); }
 
     static I loadI(const std::uint32_t* p)
     {
@@ -78,7 +125,8 @@ struct VecAvx2
 const KernelTable kTable = {
     impl::convertRowsF16c,
     impl::convertTransposeF16c,
-    impl::foldTileImpl<VecAvx2>,
+    foldTile<VecAvx2>,
+    expRows<VecAvx2>,
     impl::groupValuesImpl<VecAvx2>,
     impl::dequantLinearImpl<VecAvx2>,
 };

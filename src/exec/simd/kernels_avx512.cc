@@ -1,11 +1,11 @@
 /**
  * @file
  * AVX-512 (F/BW/DQ/VL) kernel table: the 16-lane instantiation of the
- * shared kernel templates. Compiled with -mavx512f -mavx512bw -mavx512dq
- * -mavx512vl -mf16c -ffp-contract=off; degrades to a null table when the
- * compiler lacks the flags. The conversion kernels stay 8-wide (they are
- * load/store bound and VL makes the ymm forms available here); the
- * compute kernels run 16 lanes.
+ * shared kernel templates, so the fold's 16 virtual lanes are one
+ * register. Compiled with -mavx512f -mavx512bw -mavx512dq -mavx512vl
+ * -mf16c; degrades to a null table when the compiler lacks the flags.
+ * The conversion kernels stay 8-wide (they are load/store bound and VL
+ * makes the ymm forms available here); the compute kernels run 16 lanes.
  */
 #include "exec/simd/kernel_table.h"
 
@@ -30,6 +30,47 @@ struct VecAvx512
     static void store(float* p, F v) { _mm512_storeu_ps(p, v); }
     static F mul(F a, F b) { return _mm512_mul_ps(a, b); }
     static F add(F a, F b) { return _mm512_add_ps(a, b); }
+    static F sub(F a, F b) { return _mm512_sub_ps(a, b); }
+    static F max(F a, F b) { return _mm512_max_ps(a, b); }
+    static F min(F a, F b) { return _mm512_min_ps(a, b); }
+
+    /** Bits set for lanes < n. */
+    static __mmask16 laneMask(int n)
+    {
+        return n >= W ? static_cast<__mmask16>(0xFFFF)
+                      : static_cast<__mmask16>((1u << (n > 0 ? n : 0)) - 1u);
+    }
+    static F loadMasked(const float* p, int n)
+    {
+        return _mm512_maskz_loadu_ps(laneMask(n), p);
+    }
+    static F select(int n, F a, F b)
+    {
+        return _mm512_mask_blend_ps(laneMask(n), b, a);
+    }
+    static F permuteLoad(const float* window, I idx)
+    {
+        return _mm512_permutexvar_ps(idx, _mm512_loadu_ps(window));
+    }
+    static I expandIndex(int first, int d)
+    {
+        alignas(64) std::int32_t idx[W];
+        // (first + i) / d - first / d, counted up without dividing.
+        for (int i = 0, k = 0, rem = first % d; i < W; i++) {
+            idx[i] = k;
+            if (++rem == d) {
+                rem = 0;
+                k++;
+            }
+        }
+        return _mm512_load_si512(idx);
+    }
+    static I bitsOf(F x) { return _mm512_castps_si512(x); }
+    static F fromBits(I x) { return _mm512_castsi512_ps(x); }
+    static I addI(I a, I b) { return _mm512_add_epi32(a, b); }
+    static I subI(I a, I b) { return _mm512_sub_epi32(a, b); }
+    static I shiftRight1(I a) { return _mm512_srai_epi32(a, 1); }
+    static I shiftLeft23(I a) { return _mm512_slli_epi32(a, 23); }
 
     static I loadI(const std::uint32_t* p) { return _mm512_loadu_si512(p); }
     static I broadcastI(std::uint32_t x)
@@ -65,10 +106,49 @@ struct VecAvx512
     }
 };
 
+/** convert_transpose with 16 tokens per step for four-channel heads:
+ *  each register holds 4 tokens x 4 channels, an in-lane 4x4 transpose
+ *  leaves channel j's tokens in order 0 4 8 12 | 1 5 9 13 | ..., and one
+ *  permute restores it. Other heads and the tail take the 8-wide path. */
+void
+convertTransposeAvx512(const Half* src, int tokens, int d, float* kT,
+                       int t_stride)
+{
+    int t = 0;
+    if (d == 4) {
+        const std::size_t ts = static_cast<std::size_t>(t_stride);
+        const __m512i order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2,
+                                                6, 10, 14, 3, 7, 11, 15);
+        for (; t + 16 <= tokens; t += 16) {
+            __m512 r[4];
+            for (int i = 0; i < 4; i++)
+                r[i] = _mm512_cvtph_ps(_mm256_loadu_si256(
+                    reinterpret_cast<const __m256i*>(
+                        src + static_cast<std::size_t>(t + 4 * i) * 4)));
+            const __m512 t0 = _mm512_unpacklo_ps(r[0], r[1]);
+            const __m512 t1 = _mm512_unpackhi_ps(r[0], r[1]);
+            const __m512 t2 = _mm512_unpacklo_ps(r[2], r[3]);
+            const __m512 t3 = _mm512_unpackhi_ps(r[2], r[3]);
+            const __m512 c[4] = {
+                _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0)),
+                _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2)),
+                _mm512_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0)),
+                _mm512_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2))};
+            for (int j = 0; j < 4; j++)
+                _mm512_storeu_ps(kT + static_cast<std::size_t>(j) * ts +
+                                     static_cast<std::size_t>(t),
+                                 _mm512_permutexvar_ps(order, c[j]));
+        }
+    }
+    impl::convertTransposeF16c(src + static_cast<std::size_t>(t) * d,
+                               tokens - t, d, kT + t, t_stride);
+}
+
 const KernelTable kTable = {
     impl::convertRowsF16c,
-    impl::convertTransposeF16c,
-    impl::foldTileImpl<VecAvx512>,
+    convertTransposeAvx512,
+    foldTile<VecAvx512>,
+    expRows<VecAvx512>,
     impl::groupValuesImpl<VecAvx512>,
     impl::dequantLinearImpl<VecAvx512>,
 };

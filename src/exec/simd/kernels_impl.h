@@ -1,23 +1,18 @@
 /**
  * @file
- * Shared implementation of the SIMD hot-path kernels, parameterized on a
- * vector-traits struct (8-lane AVX2, 16-lane AVX-512). Included ONLY by
- * the per-ISA translation units — everything here is internal-linkage
- * (static / per-TU template instantiations over TU-local traits) so no
- * symbol compiled under one ISA's flags can be linker-folded into
- * another TU.
+ * Shared implementation of the SIMD conversion and dequant kernels,
+ * parameterized on a vector-traits struct (8-lane AVX2, 16-lane AVX-512),
+ * plus the 16-lane fold of fold16.h. Included ONLY by the per-ISA
+ * translation units — everything here is internal-linkage (static /
+ * per-TU template instantiations over TU-local traits) so no symbol
+ * compiled under one ISA's flags can be linker-folded into another.
  *
- * Bit-exactness rules (the whole point of this file):
- *  - QK: one lane per token; channels accumulate sequentially c = 0..d-1
- *    with separate mul and add per step, replicating the scalar
- *    `dot += q[c] * k[c]` rounding sequence exactly. The tail tokens run
- *    the scalar loop verbatim.
- *  - row max, exp and the packed path's half-rounding of P stay scalar
- *    per token, in scalar token order.
- *  - PV: one lane per channel; tokens accumulate sequentially, so each
- *    acc[c] sees the identical addition order as the scalar fold.
+ * Bit-exactness rules:
+ *  - the fold and its exp follow fold16.h's 16-lane arithmetic, which
+ *    fixes every reduction order by (gq, head_dim) alone, so each level
+ *    gives the scalar lanes' bytes;
  *  - conversion and dequant are exact (Half widening is lossless; code
- *    extraction and lookups are integer ops), so any order works.
+ *    extraction and lookups are integer ops), so any order works;
  *  - group values replay quant::dequantMagicValue per lane: the same mul,
  *    add and binary16 round-to-nearest-even (F16C cvtps2ph/cvtph2ps in
  *    place of the scalar bit-level rounding).
@@ -27,12 +22,12 @@
 
 #include <immintrin.h>
 
-#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
 
 #include "common/half.h"
+#include "exec/simd/fold16.h"
 
 namespace bitdec::exec::simd {
 
@@ -85,9 +80,34 @@ transpose8x8(__m256 r[8], __m256 out[8])
     out[7] = _mm256_permute2f128_ps(s3, s7, 0x31);
 }
 
+/** Four-channel heads: 8 tokens (two per register) -> 4 channel rows.
+ *  An in-lane 4x4 transpose leaves tokens in order 0 2 4 6 | 1 3 5 7,
+ *  which one permute restores. */
+static void
+transposeFourChannels(const Half* src, float* kT, std::size_t ts)
+{
+    __m256 r[4];
+    for (int i = 0; i < 4; i++)
+        r[i] = _mm256_cvtph_ps(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + 8 * i)));
+    const __m256 t0 = _mm256_unpacklo_ps(r[0], r[1]);
+    const __m256 t1 = _mm256_unpackhi_ps(r[0], r[1]);
+    const __m256 t2 = _mm256_unpacklo_ps(r[2], r[3]);
+    const __m256 t3 = _mm256_unpackhi_ps(r[2], r[3]);
+    const __m256 c[4] = {_mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0)),
+                         _mm256_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2)),
+                         _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0)),
+                         _mm256_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2))};
+    const __m256i order = _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7);
+    for (int j = 0; j < 4; j++)
+        _mm256_storeu_ps(kT + static_cast<std::size_t>(j) * ts,
+                         _mm256_permutevar8x32_ps(c[j], order));
+}
+
 /** Converts a token-major [tokens x d] Half tile into a channel-major
- *  float scratch (kT[c * t_stride + t]): 8x8 convert+transpose blocks,
- *  scalar LUT tails. Pure data movement + exact conversion. */
+ *  float scratch (kT[c * t_stride + t]): 8x8 convert+transpose blocks
+ *  (8x4 for four-channel heads), scalar LUT tails. Pure data movement +
+ *  exact conversion. */
 static void
 convertTransposeF16c(const Half* src, int tokens, int d, float* kT,
                      int t_stride)
@@ -96,6 +116,10 @@ convertTransposeF16c(const Half* src, int tokens, int d, float* kT,
     const std::size_t dd = static_cast<std::size_t>(d);
     const std::size_t ts = static_cast<std::size_t>(t_stride);
     int t = 0;
+    if (d == 4)
+        for (; t + 8 <= tokens; t += 8)
+            transposeFourChannels(src + static_cast<std::size_t>(t) * dd,
+                                  kT + t, ts);
     for (; t + 8 <= tokens; t += 8) {
         int c = 0;
         for (; c + 8 <= d; c += 8) {
@@ -129,102 +153,6 @@ convertTransposeF16c(const Half* src, int tokens, int d, float* kT,
                 lut[src[static_cast<std::size_t>(t) * dd +
                         static_cast<std::size_t>(c)]
                         .bits()];
-}
-
-/**
- * The fold kernel: SIMD twin of exec::foldTile over a channel-major K
- * scratch. V is the traits struct of the ISA TU instantiating this.
- */
-template <class V>
-static void
-foldTileImpl(const float* qf, int gq, int d, const float* kT, int t_stride,
-             const float* vf, int tokens, float scale, float* m, float* l,
-             float* acc_all, float* s, bool round_p)
-{
-    const float neg_inf = -__builtin_inff();
-    const std::size_t dd = static_cast<std::size_t>(d);
-    const std::size_t ts = static_cast<std::size_t>(t_stride);
-    for (int r = 0; r < gq; r++) {
-        const std::size_t rr = static_cast<std::size_t>(r);
-        const float* qrow = qf + rr * dd;
-        // QK: lane-per-token; channels accumulate in scalar order with
-        // separate mul+add, so each lane rounds exactly like the scalar
-        // dot loop.
-        int t = 0;
-        const auto vscale = V::broadcast(scale);
-        // 4 token-vectors per pass: four independent add chains hide the
-        // add latency, one q broadcast feeds all four. Each lane still
-        // accumulates c = 0..d-1 sequentially, so rounding is unchanged.
-        for (; t + 4 * V::W <= tokens; t += 4 * V::W) {
-            auto d0 = V::zero(), d1 = V::zero(), d2 = V::zero(),
-                 d3 = V::zero();
-            for (int c = 0; c < d; c++) {
-                const float* krow =
-                    kT + static_cast<std::size_t>(c) * ts +
-                    static_cast<std::size_t>(t);
-                const auto q = V::broadcast(qrow[c]);
-                d0 = V::add(d0, V::mul(q, V::load(krow)));
-                d1 = V::add(d1, V::mul(q, V::load(krow + V::W)));
-                d2 = V::add(d2, V::mul(q, V::load(krow + 2 * V::W)));
-                d3 = V::add(d3, V::mul(q, V::load(krow + 3 * V::W)));
-            }
-            V::store(s + t, V::mul(d0, vscale));
-            V::store(s + t + V::W, V::mul(d1, vscale));
-            V::store(s + t + 2 * V::W, V::mul(d2, vscale));
-            V::store(s + t + 3 * V::W, V::mul(d3, vscale));
-        }
-        for (; t + V::W <= tokens; t += V::W) {
-            auto dot = V::zero();
-            for (int c = 0; c < d; c++)
-                dot = V::add(dot,
-                             V::mul(V::broadcast(qrow[c]),
-                                    V::load(kT + static_cast<std::size_t>(c) *
-                                                     ts +
-                                            static_cast<std::size_t>(t))));
-            V::store(s + t, V::mul(dot, vscale));
-        }
-        for (; t < tokens; t++) {
-            float dot = 0.f;
-            for (int c = 0; c < d; c++)
-                dot += qrow[c] * kT[static_cast<std::size_t>(c) * ts +
-                                    static_cast<std::size_t>(t)];
-            s[t] = dot * scale;
-        }
-        // Row max scalar, in scalar token order (same semantics as the
-        // scalar fold's interleaved std::max chain).
-        float bm = m[rr];
-        for (int i = 0; i < tokens; i++)
-            bm = bm < s[i] ? s[i] : bm;
-        const float rescale = m[rr] == neg_inf ? 0.f : std::exp(m[rr] - bm);
-        float* acc = acc_all + rr * dd;
-        l[rr] *= rescale;
-        {
-            const auto vr = V::broadcast(rescale);
-            int c = 0;
-            for (; c + V::W <= d; c += V::W)
-                V::store(acc + c, V::mul(V::load(acc + c), vr));
-            for (; c < d; c++)
-                acc[c] *= rescale;
-        }
-        // PV: exp/rounding scalar per token; lane-per-channel
-        // accumulation in token order — each acc[c] sees the scalar
-        // addition sequence.
-        for (int tt = 0; tt < tokens; tt++) {
-            const float pexp = std::exp(s[tt] - bm);
-            const float p = round_p ? roundToHalf(pexp) : pexp;
-            l[rr] += p;
-            const float* vrow = vf + static_cast<std::size_t>(tt) * dd;
-            const auto vp = V::broadcast(p);
-            int c = 0;
-            for (; c + V::W <= d; c += V::W)
-                V::store(acc + c,
-                         V::add(V::load(acc + c), V::mul(vp, V::load(vrow +
-                                                                     c))));
-            for (; c < d; c++)
-                acc[c] += p * vrow[c];
-        }
-        m[rr] = bm;
-    }
 }
 
 /** Magic-biased codes (1024 + q) of a 16-level group row. */

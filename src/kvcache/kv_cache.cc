@@ -298,20 +298,32 @@ packBlock(const Tensor<Half>& k_block, const Tensor<Half>& v_block,
           const layout::InducedLayout& v_layout, PackedBlock& k_out,
           PackedBlock& v_out)
 {
-    // Quantize in K-natural [Nr x d] coordinates. TensorWise groups run
-    // along the hidden dimension, ChannelWise along the token dimension.
-    const quant::QuantizedMatrix kq = quant::quantizeMatrix(
-        k_block, config.bits, config.key_granularity, config.group_size);
-    // Values always use tensor-wise scaling (Section V-C).
-    const quant::QuantizedMatrix vq = quant::quantizeMatrix(
-        v_block, config.bits, quant::Granularity::TensorWise,
-        config.group_size);
-
-    // Keys feed Q*K^T as the B operand, so codes pack transposed.
-    k_out.units = packInduced(k_layout, transposeCodes(kq.codes));
-    k_out.params = kq.params;
-    v_out.units = packInduced(v_layout, vq.codes);
-    v_out.params = vq.params;
+    std::vector<std::uint32_t> k_units, v_units;
+    Tensor<Half2> k_params, v_params;
+    {
+        // Quantize in K-natural [Nr x d] coordinates. TensorWise groups
+        // run along the hidden dimension, ChannelWise along the token
+        // dimension.
+        const quant::QuantizedMatrix kq = quant::quantizeMatrix(
+            k_block, config.bits, config.key_granularity,
+            config.group_size);
+        // Values always use tensor-wise scaling (Section V-C).
+        const quant::QuantizedMatrix vq = quant::quantizeMatrix(
+            v_block, config.bits, quant::Granularity::TensorWise,
+            config.group_size);
+        // Keys feed Q*K^T as the B operand, so codes pack transposed.
+        k_units = packInduced(k_layout, transposeCodes(kq.codes));
+        v_units = packInduced(v_layout, vq.codes);
+        k_params = kq.params;
+        v_params = vq.params;
+    }
+    // The block outlives everything above: copy it into storage allocated
+    // only now, after the quantization temporaries are freed, so a sealed
+    // block takes their place instead of pinning a freed hole below it.
+    k_out.units.assign(k_units.begin(), k_units.end());
+    v_out.units.assign(v_units.begin(), v_units.end());
+    k_out.params = k_params;
+    v_out.params = v_params;
 }
 
 } // namespace bitdec::kv

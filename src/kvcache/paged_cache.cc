@@ -51,18 +51,31 @@ PageAllocator::refCount(int page) const
     return refs_[static_cast<std::size_t>(page)];
 }
 
+namespace {
+
+/** @p n zero Halves from calloc (fatal when the host cannot provide). */
+Half*
+zeroHalves(std::size_t n)
+{
+    void* p = std::calloc(n, sizeof(Half));
+    if (p == nullptr)
+        BITDEC_FATAL("cannot allocate a paged KV pool of ", n, " halves");
+    return static_cast<Half*>(p);
+}
+
+} // namespace
+
 PagedHeadCache::PagedHeadCache(int head_dim, int page_size, int num_pages)
     : head_dim_(head_dim),
       page_size_(page_size),
-      allocator_(num_pages),
-      k_pool_({static_cast<std::size_t>(num_pages),
-               static_cast<std::size_t>(page_size),
-               static_cast<std::size_t>(head_dim)}),
-      v_pool_({static_cast<std::size_t>(num_pages),
-               static_cast<std::size_t>(page_size),
-               static_cast<std::size_t>(head_dim)})
+      allocator_(num_pages)
 {
     BITDEC_ASSERT(head_dim > 0 && page_size > 0, "bad paged cache shape");
+    const std::size_t n = static_cast<std::size_t>(num_pages) *
+                          static_cast<std::size_t>(page_size) *
+                          static_cast<std::size_t>(head_dim);
+    k_pool_.reset(zeroHalves(n));
+    v_pool_.reset(zeroHalves(n));
 }
 
 int
@@ -136,8 +149,10 @@ PagedHeadCache::append(int seq, const std::vector<Half>& k,
         for (int t = 0; t < slot; t++) {
             const std::size_t st = static_cast<std::size_t>(t);
             for (std::size_t d = 0; d < row; d++) {
-                k_pool_.at(dst, st, d) = k_pool_.at(src, st, d);
-                v_pool_.at(dst, st, d) = v_pool_.at(src, st, d);
+                k_pool_[poolIndex(dst, st, d)] =
+                    k_pool_[poolIndex(src, st, d)];
+                v_pool_[poolIndex(dst, st, d)] =
+                    v_pool_[poolIndex(src, st, d)];
             }
         }
         allocator_.release(s.pages.back());
@@ -146,10 +161,10 @@ PagedHeadCache::append(int seq, const std::vector<Half>& k,
     }
     const std::size_t page = static_cast<std::size_t>(s.pages.back());
     for (int d = 0; d < head_dim_; d++) {
-        k_pool_.at(page, static_cast<std::size_t>(slot),
-                   static_cast<std::size_t>(d)) = k[static_cast<std::size_t>(d)];
-        v_pool_.at(page, static_cast<std::size_t>(slot),
-                   static_cast<std::size_t>(d)) = v[static_cast<std::size_t>(d)];
+        const std::size_t i = poolIndex(page, static_cast<std::size_t>(slot),
+                                        static_cast<std::size_t>(d));
+        k_pool_[i] = k[static_cast<std::size_t>(d)];
+        v_pool_[i] = v[static_cast<std::size_t>(d)];
     }
     s.len++;
     return true;
@@ -284,8 +299,8 @@ PagedHeadCache::restorePage(int seq, int idx, const Half* k, const Half* v)
         return CacheStatus::HotPoolExhausted;
     const std::size_t n = static_cast<std::size_t>(page_size_) *
                           static_cast<std::size_t>(head_dim_);
-    Half* k_dst = k_pool_.data() + static_cast<std::size_t>(*page) * n;
-    Half* v_dst = v_pool_.data() + static_cast<std::size_t>(*page) * n;
+    Half* k_dst = k_pool_.get() + static_cast<std::size_t>(*page) * n;
+    Half* v_dst = v_pool_.get() + static_cast<std::size_t>(*page) * n;
     for (std::size_t i = 0; i < n; i++) {
         k_dst[i] = k[i];
         v_dst[i] = v[i];
@@ -339,7 +354,7 @@ PagedHeadCache::tokenKey(int seq, int t) const
     std::vector<Half> key(static_cast<std::size_t>(head_dim_));
     for (int d = 0; d < head_dim_; d++)
         key[static_cast<std::size_t>(d)] =
-            k_pool_.at(page, slot, static_cast<std::size_t>(d));
+            k_pool_[poolIndex(page, slot, static_cast<std::size_t>(d))];
     return key;
 }
 
@@ -347,7 +362,7 @@ const Half*
 PagedHeadCache::pageKeyData(int page) const
 {
     BITDEC_ASSERT(page >= 0 && page < allocator_.totalPages(), "bad page id");
-    return k_pool_.data() + static_cast<std::size_t>(page) *
+    return k_pool_.get() + static_cast<std::size_t>(page) *
                                 static_cast<std::size_t>(page_size_) *
                                 static_cast<std::size_t>(head_dim_);
 }
@@ -356,7 +371,7 @@ const Half*
 PagedHeadCache::pageValueData(int page) const
 {
     BITDEC_ASSERT(page >= 0 && page < allocator_.totalPages(), "bad page id");
-    return v_pool_.data() + static_cast<std::size_t>(page) *
+    return v_pool_.get() + static_cast<std::size_t>(page) *
                                 static_cast<std::size_t>(page_size_) *
                                 static_cast<std::size_t>(head_dim_);
 }
@@ -430,7 +445,7 @@ PagedHeadCache::gatherKeys(int seq) const
         const std::size_t slot = static_cast<std::size_t>(t % page_size_);
         for (int d = 0; d < head_dim_; d++) {
             out.at(static_cast<std::size_t>(t), static_cast<std::size_t>(d)) =
-                k_pool_.at(page, slot, static_cast<std::size_t>(d));
+                k_pool_[poolIndex(page, slot, static_cast<std::size_t>(d))];
         }
     }
     return out;
@@ -449,7 +464,7 @@ PagedHeadCache::gatherValues(int seq) const
         const std::size_t slot = static_cast<std::size_t>(t % page_size_);
         for (int d = 0; d < head_dim_; d++) {
             out.at(static_cast<std::size_t>(t), static_cast<std::size_t>(d)) =
-                v_pool_.at(page, slot, static_cast<std::size_t>(d));
+                v_pool_[poolIndex(page, slot, static_cast<std::size_t>(d))];
         }
     }
     return out;

@@ -17,6 +17,8 @@
 #define BITDEC_KVCACHE_PAGED_CACHE_H
 
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -281,12 +283,31 @@ class PagedHeadCache
         int tokens = 0;
     };
 
+    /** Frees a calloc'd pool array. */
+    struct FreeDeleter
+    {
+        void operator()(Half* p) const { std::free(p); }
+    };
+    using PoolArray = std::unique_ptr<Half[], FreeDeleter>;
+
+    /** Flat index of (page, slot, channel) in a pool array. */
+    std::size_t poolIndex(std::size_t page, std::size_t slot,
+                          std::size_t d) const
+    {
+        return (page * static_cast<std::size_t>(page_size_) + slot) *
+                   static_cast<std::size_t>(head_dim_) +
+               d;
+    }
+
     int head_dim_;
     int page_size_;
     PageAllocator allocator_;
-    // Pool layout: [page][slot][d] for K and V.
-    Tensor<Half> k_pool_;
-    Tensor<Half> v_pool_;
+    // Pool layout: [page][slot][d] for K and V. calloc'd rather than
+    // value-initialized: a page reads as zeros until first written either
+    // way, but pages the allocator never hands out stay demand-zero and
+    // cost no resident memory (the allocator reuses low page ids first).
+    PoolArray k_pool_;
+    PoolArray v_pool_;
     std::vector<Sequence> seqs_;
     std::unordered_map<std::uint64_t, PrefixEntry> prefixes_;
     long cow_copies_ = 0;

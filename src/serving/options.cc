@@ -110,19 +110,16 @@ ServingOptions::maybeListBackends() const
         BITDEC_FATAL("unknown --list-backends mode '", list_mode,
                      "' (use --list-backends, =names or =fused)");
     auto& reg = backend::BackendRegistry::instance();
-    // Every listing mode shows only what this host can run: a SIMD
-    // sibling whose ISA is missing (or capped away by BITDEC_SIMD) never
-    // appears, so scripted `--list-backends` loops stay executable.
     if (list_mode == "names" || list_mode == "fused") {
         const auto names =
-            list_mode == "fused" ? reg.fusedNames() : reg.availableNames();
+            list_mode == "fused" ? reg.fusedNames() : reg.names();
         for (const std::string& n : names)
             std::printf("%s\n", n.c_str());
         return true;
     }
     std::printf("registered attention backends "
                 "(caches | formats | scenarios):\n%s",
-                reg.capabilityMatrix(/*available_only=*/true).c_str());
+                reg.capabilityMatrix().c_str());
     return true;
 }
 

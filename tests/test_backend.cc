@@ -7,7 +7,6 @@
  */
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
@@ -21,6 +20,7 @@
 #include "model/model_config.h"
 #include "serving/engine.h"
 #include "serving/trace.h"
+#include "scoped_simd_env.h"
 
 namespace bitdec {
 namespace {
@@ -33,63 +33,23 @@ using backend::DecodeFixture;
 using backend::FixtureConfig;
 using backend::QuantFormat;
 using backend::ResolveQuery;
+using exec::simd::Level;
 
 // --------------------------------------------------------- registry -----
 
 TEST(BackendRegistry, ListsEveryBuiltinSorted)
 {
-    // names() lists every registered backend — SIMD siblings register
-    // unconditionally (availability is a separate, host-dependent axis).
     const std::vector<std::string> names = BackendRegistry::instance().names();
     const std::vector<std::string> want = {
-        "flash",
-        "fused-fp16",
-        "fused-fp16-avx2",
-        "fused-fp16-avx512",
-        "fused-packed",
-        "fused-paged",
-        "fused-paged-avx2",
-        "fused-paged-avx512",
-        "kivi",
-        "mx",
-        "qserve",
-        "reference"};
+        "flash",  "fused-fp16", "fused-packed", "fused-paged",
+        "kivi",   "mx",         "qserve",       "reference"};
     EXPECT_EQ(names, want);
 
-    // fusedNames() is the CI perf-gate set: the hot paths always, plus
-    // exactly the fp16/paged SIMD siblings this host can execute
-    // (fused-packed picks its level itself and has none).
-    std::vector<std::string> want_fused;
-    for (const char* base : {"fused-fp16", "fused-packed", "fused-paged"}) {
-        want_fused.push_back(base);
-        if (std::string(base) == "fused-packed")
-            continue;
-        if (exec::simd::levelEnabled(exec::simd::Level::Avx2))
-            want_fused.push_back(std::string(base) + "-avx2");
-        if (exec::simd::levelEnabled(exec::simd::Level::Avx512))
-            want_fused.push_back(std::string(base) + "-avx512");
-    }
+    // fusedNames() is the CI perf-gate set: the three hot paths, each of
+    // which runs at the host's enabled SIMD level itself.
+    const std::vector<std::string> want_fused = {"fused-fp16", "fused-packed",
+                                                 "fused-paged"};
     EXPECT_EQ(BackendRegistry::instance().fusedNames(), want_fused);
-}
-
-TEST(BackendRegistry, AvailableNamesHideUnsupportedSimdSiblings)
-{
-    auto& reg = BackendRegistry::instance();
-    for (const std::string& name : reg.availableNames()) {
-        const AttentionBackend* be = reg.find(name);
-        ASSERT_NE(be, nullptr) << name;
-        EXPECT_TRUE(be->available()) << name;
-        EXPECT_TRUE(be->unavailableReason().empty()) << name;
-    }
-    // Every name missing from availableNames() must explain itself.
-    const std::vector<std::string> avail = reg.availableNames();
-    for (const std::string& name : reg.names()) {
-        if (std::find(avail.begin(), avail.end(), name) != avail.end())
-            continue;
-        const AttentionBackend* be = reg.find(name);
-        ASSERT_NE(be, nullptr) << name;
-        EXPECT_FALSE(be->unavailableReason().empty()) << name;
-    }
 }
 
 TEST(BackendRegistry, UnknownNameDiesListingRegistered)
@@ -212,9 +172,9 @@ TEST(BackendPlan, ReportsChunkingAndRejectsWrongScenarios)
 /**
  * Every backend with a flat-tensor reference must match it to 1e-3 over
  * the same content stream. The sweep enumerates the registry instead of
- * hard-coding names, so a newly registered backend (e.g. a SIMD sibling)
- * is covered the moment it registers; only `mx` opts out (its cache is
- * built from a different content stream than the flat fixture's).
+ * hard-coding names, so a newly registered backend is covered the moment
+ * it registers; only `mx` opts out (its cache is built from a different
+ * content stream than the flat fixture's).
  */
 TEST(BackendParity, AllBackendsMatchReferenceAt1e3)
 {
@@ -230,7 +190,7 @@ TEST(BackendParity, AllBackendsMatchReferenceAt1e3)
     const float scale = 1.0f / std::sqrt(32.0f);
 
     int swept = 0;
-    for (const std::string& name : reg.availableNames()) {
+    for (const std::string& name : reg.names()) {
         if (name == "mx")
             continue;
         const AttentionBackend& be = reg.resolve(name);
@@ -242,48 +202,7 @@ TEST(BackendParity, AllBackendsMatchReferenceAt1e3)
         EXPECT_LT(attn::maxAbsDiff(got, want), 1e-3f) << name;
         swept++;
     }
-    EXPECT_GE(swept, 7); // at minimum the scalar builtins
-}
-
-/** The scalar twin of a SIMD sibling name; empty for non-siblings. */
-std::string
-scalarTwinOf(const std::string& name)
-{
-    if (name.ends_with("-avx2"))
-        return name.substr(0, name.size() - 5);
-    if (name.ends_with("-avx512"))
-        return name.substr(0, name.size() - 7);
-    return {};
-}
-
-/**
- * The SIMD contract: every available sibling digests bitwise identically
- * to its scalar twin over identical cache content — same chunking, same
- * merge order, bit-equal arithmetic. Covers partial pages and partial
- * chunks (fused-packed's levels are compared in test_properties).
- */
-TEST(BackendParity, SimdSiblingsDigestIdenticalToScalarTwins)
-{
-    auto& reg = BackendRegistry::instance();
-    FixtureConfig fc;
-    fc.context = 288;
-    fc.head_dim = 32;
-    fc.gq = 4;
-    fc.page_size = 13;
-    for (const std::string& name : reg.availableNames()) {
-        const std::string twin = scalarTwinOf(name);
-        if (twin.empty())
-            continue;
-        const AttentionBackend& be = reg.resolve(name);
-        const AttentionBackend& sc = reg.resolve(twin);
-        // Equal fixture configs bind bitwise-equal cache content.
-        const DecodeFixture fx(be, fc);
-        const DecodeFixture fxs(sc, fc);
-        DecodeBatch b = fx.batch();
-        DecodeBatch bs = fxs.batch();
-        b.scale = bs.scale = 0.125f;
-        EXPECT_EQ(be.digest(b), sc.digest(bs)) << name << " vs " << twin;
-    }
+    EXPECT_EQ(swept, 7);
 }
 
 /**
@@ -375,12 +294,10 @@ TEST(EngineBackend, ReferenceBackendServesAsOracle)
         EXPECT_NE(r.attn_hash, 0u) << "request " << r.id;
 }
 
-/** Serving with a SIMD paged backend must be byte-identical to serving
- *  with the scalar fused-paged backend: same trace, same per-request
- *  attention hashes. */
-TEST(EngineBackend, SimdPagedBackendServesByteIdentically)
+/** Serving is byte-identical at every SIMD level and attention pool:
+ *  same trace, same per-request attention and output hashes. */
+TEST(EngineBackend, ServesByteIdenticallyAtEveryLevelAndPool)
 {
-    auto& reg = BackendRegistry::instance();
     serving::TraceConfig tc;
     tc.num_requests = 4;
     tc.arrival_rate_qps = 100.0;
@@ -390,34 +307,42 @@ TEST(EngineBackend, SimdPagedBackendServesByteIdentically)
     tc.output_max = 12;
     const std::vector<serving::Request> trace = serving::generateTrace(tc);
 
-    const auto hashesWith = [&trace](const std::string& be) {
+    const auto hashesWith = [&trace](exec::ThreadPool* pool) {
         serving::EngineConfig cfg;
         cfg.num_pages = 64;
         cfg.page_size = 16;
-        cfg.backend = be;
+        cfg.cache_head_dim = 4; // the serving slice's head: token slots
+        cfg.backend = "fused-paged";
         cfg.sched.max_batch = 4;
+        cfg.pool = pool;
         std::vector<serving::Request> reqs = trace;
         serving::Engine engine(sim::archA100(), model::llama31_8b(), cfg);
         engine.run(reqs);
         std::vector<std::uint64_t> hashes;
-        for (const auto& r : reqs)
+        for (const auto& r : reqs) {
             hashes.push_back(r.attn_hash);
+            hashes.push_back(r.output_hash);
+        }
         return hashes;
     };
 
-    const std::vector<std::uint64_t> scalar = hashesWith("fused-paged");
-    int compared = 0;
-    for (const char* sibling : {"fused-paged-avx2", "fused-paged-avx512"}) {
-        const AttentionBackend* be = reg.find(sibling);
-        ASSERT_NE(be, nullptr);
-        if (!be->available())
-            continue;
-        EXPECT_EQ(hashesWith(sibling), scalar) << sibling;
-        compared++;
+    std::vector<std::uint64_t> scalar;
+    {
+        ScopedSimdEnv env("scalar");
+        scalar = hashesWith(nullptr);
     }
-    if (compared == 0)
-        GTEST_SKIP() << "host runs no SIMD paged sibling: "
-                     << exec::simd::describeCpuFeatures();
+    exec::ThreadPool pool1(1);
+    exec::ThreadPool pool8(8);
+    for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512}) {
+        if (!exec::simd::levelSupported(l))
+            continue;
+        ScopedSimdEnv env(exec::simd::toString(l));
+        for (exec::ThreadPool* pool :
+             {static_cast<exec::ThreadPool*>(nullptr), &pool1, &pool8})
+            EXPECT_EQ(hashesWith(pool), scalar)
+                << exec::simd::toString(l) << " threads="
+                << (pool ? pool->numThreads() : 0);
+    }
 }
 
 } // namespace

@@ -9,6 +9,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <memory>
 #include <string>
 
 #include "attention/flash_decoding.h"
@@ -18,6 +20,7 @@
 #include "common/rng.h"
 #include "core/bitdecoding.h"
 #include "core/residual_kernel.h"
+#include "exec/fused_attention.h"
 #include "exec/simd/dispatch.h"
 #include "exec/thread_pool.h"
 #include "gpusim/arch.h"
@@ -401,8 +404,11 @@ TEST(SimdProperties, ConvertTransposeMatchesLutAtOddShapes)
         GTEST_SKIP();
     Rng rng(4242);
     for (const auto& [kt, name] : tables) {
-        for (const auto [tokens, d] : {std::pair{1, 37}, std::pair{13, 24},
-                                       std::pair{16, 16}, std::pair{23, 129}}) {
+        // Four-channel heads take dedicated 8- and 16-token transposes.
+        for (const auto [tokens, d] :
+             {std::pair{1, 37}, std::pair{13, 24}, std::pair{16, 16},
+              std::pair{23, 129}, std::pair{9, 4}, std::pair{64, 4},
+              std::pair{45, 4}}) {
             std::vector<Half> src(static_cast<std::size_t>(tokens) * d);
             for (auto& h : src)
                 h = Half(rng.normal());
@@ -531,50 +537,76 @@ struct TailShape
     int context, head_dim, gq, page_size;
 };
 
-TEST(SimdProperties, TailShapesDigestEqualToScalarTwin)
+TEST(SimdProperties, FusedFp16AndPagedDigestEqualAtEveryLevelAndPool)
 {
-    // End-to-end digest equality between every available fp16/paged SIMD
-    // sibling and its scalar twin, including head dims off the 8-lane
-    // grid.
-    auto& reg = backend::BackendRegistry::instance();
+    // fused-fp16 and fused-paged run at the enabled level: every level
+    // this host supports, with any pool, must give the scalar level's
+    // bytes — over the vector tail shapes and small heads whose gq * d <
+    // 16 gives spare lanes to tokens (4 slots, 2 slots, and d = 4 at gq 3
+    // with one slot and four idle lanes).
     const std::vector<TailShape> shapes = {
         {1, 32, 1, 1},     // single token, single-token pages
         {7, 24, 2, 3},     // d % 8 != 0, tiny pages
         {97, 40, 4, 13},   // page-straddling odd context
         {129, 32, 3, 64},  // one token past a 128-chunk boundary
         {333, 128, 8, 31}, // full-width head, odd everything
+        {1000, 4, 1, 64},  // the serving slice: 4 token slots
+        {5, 4, 1, 64},     // fewer tokens than one slot row
+        {77, 4, 2, 7},     // 2 slots, two rows
+        {45, 4, 3, 16},    // gq * d = 12: one slot
+        {150, 8, 1, 64},   // 2 slots of 8 channels
     };
+    auto& reg = backend::BackendRegistry::instance();
+    exec::ThreadPool pool1(1);
+    exec::ThreadPool pool8(8);
     int compared = 0;
-    for (const std::string& name : reg.availableNames()) {
-        std::string twin;
-        if (name.ends_with("-avx2"))
-            twin = name.substr(0, name.size() - 5);
-        else if (name.ends_with("-avx512"))
-            twin = name.substr(0, name.size() - 7);
-        else
-            continue;
+    for (const char* name : {"fused-fp16", "fused-paged"}) {
+        const backend::AttentionBackend& be = reg.resolve(name);
+        std::vector<std::unique_ptr<backend::DecodeFixture>> fixtures;
+        std::vector<std::uint64_t> want;
         for (const TailShape& s : shapes) {
             backend::FixtureConfig fc;
             fc.context = s.context;
             fc.head_dim = s.head_dim;
             fc.gq = s.gq;
             fc.page_size = s.page_size;
-            const backend::AttentionBackend& be = reg.resolve(name);
-            const backend::AttentionBackend& sc = reg.resolve(twin);
-            const backend::DecodeFixture fx(be, fc);
-            const backend::DecodeFixture fxs(sc, fc);
-            backend::DecodeBatch b = fx.batch();
-            backend::DecodeBatch bs = fxs.batch();
-            b.scale = bs.scale = 0.17f;
-            EXPECT_EQ(be.digest(b), sc.digest(bs))
-                << name << " context=" << s.context << " d=" << s.head_dim
-                << " page=" << s.page_size;
-            compared++;
+            fixtures.push_back(
+                std::make_unique<backend::DecodeFixture>(be, fc));
+            backend::DecodeBatch b = fixtures.back()->batch();
+            b.scale = 0.17f;
+            ScopedSimdEnv env("scalar");
+            want.push_back(be.digest(b));
+        }
+        // Twice, in opposite shape orders: a tail lane read from scratch
+        // another shape left behind would differ between the passes.
+        for (int pass = 0; pass < 2; pass++) {
+            for (std::size_t k = 0; k < shapes.size(); k++) {
+                const std::size_t i = pass == 0 ? k : shapes.size() - 1 - k;
+                backend::DecodeBatch b = fixtures[i]->batch();
+                b.scale = 0.17f;
+                for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512}) {
+                    if (!exec::simd::levelSupported(l))
+                        continue;
+                    ScopedSimdEnv env(exec::simd::toString(l));
+                    for (exec::ThreadPool* pool :
+                         {static_cast<exec::ThreadPool*>(nullptr), &pool1,
+                          &pool8}) {
+                        b.pool = pool;
+                        EXPECT_EQ(be.digest(b), want[i])
+                            << name << " " << exec::simd::toString(l)
+                            << " context=" << shapes[i].context
+                            << " d=" << shapes[i].head_dim
+                            << " gq=" << shapes[i].gq
+                            << " page=" << shapes[i].page_size
+                            << " threads="
+                            << (pool ? pool->numThreads() : 0);
+                        compared++;
+                    }
+                }
+            }
         }
     }
-    if (compared == 0)
-        GTEST_SKIP() << "host runs no SIMD sibling: "
-                     << exec::simd::describeCpuFeatures();
+    EXPECT_GE(compared, static_cast<int>(2 * 2 * shapes.size() * 3));
 }
 
 TEST(SimdProperties, FusedPackedDigestEqualAtEveryLevelAndPool)
@@ -630,6 +662,80 @@ TEST(SimdProperties, FusedPackedDigestEqualAtEveryLevelAndPool)
         }
     }
     EXPECT_GE(compared, 2 * 5 * 3);
+}
+
+TEST(SimdProperties, FoldExpWithinOneUlpAndBitEqualAcrossLevels)
+{
+    // exec::foldExp against double-precision exp for every float in
+    // [-88, 0] (about 1.1e9 values) in optimized builds, every 4099th in
+    // debug and sanitizer builds; every SIMD level's exp_rows must give
+    // the scalar bits on the same inputs.
+#ifdef NDEBUG
+    constexpr std::uint32_t kStride = 1;
+#else
+    constexpr std::uint32_t kStride = 4099;
+#endif
+    constexpr std::uint32_t kChunk = 1u << 16;
+    float lo_f = -0.f, hi_f = -88.f;
+    std::uint32_t lo = 0, hi = 0;
+    std::memcpy(&lo, &lo_f, 4);
+    std::memcpy(&hi, &hi_f, 4);
+    const std::uint64_t count = (hi - lo) / kStride + 1;
+    const std::size_t n_chunks =
+        static_cast<std::size_t>((count + kChunk - 1) / kChunk);
+    const auto tables = supportedKernelTables();
+    // ulp of a float with biased exponent e (subnormals share e = 1's).
+    double ulp_of_exponent[256];
+    for (int e = 0; e < 256; e++)
+        ulp_of_exponent[e] = std::ldexp(1.0, (e == 0 ? 1 : e) - 150);
+
+    std::vector<double> worst(n_chunks, 0.0);
+    std::vector<float> worst_x(n_chunks, 0.f);
+    std::vector<long> level_mismatches(n_chunks, 0);
+    exec::ThreadPool pool(0);
+    exec::parallelFor(&pool, n_chunks, [&](std::size_t ci) {
+        thread_local std::vector<float> x, y, yv;
+        x.resize(kChunk);
+        y.resize(kChunk);
+        yv.resize(kChunk);
+        const std::uint64_t first = static_cast<std::uint64_t>(ci) * kChunk;
+        const std::size_t n = static_cast<std::size_t>(
+            std::min<std::uint64_t>(kChunk, count - first));
+        for (std::size_t j = 0; j < n; j++) {
+            const std::uint32_t b =
+                lo + static_cast<std::uint32_t>((first + j) * kStride);
+            std::memcpy(&x[j], &b, 4);
+        }
+        for (std::size_t j = 0; j < n; j++) {
+            y[j] = exec::foldExp(x[j]);
+            const double e = std::exp(static_cast<double>(x[j]));
+            const float ef = static_cast<float>(e);
+            std::uint32_t eb = 0;
+            std::memcpy(&eb, &ef, 4);
+            const double err = std::fabs(static_cast<double>(y[j]) - e) /
+                               ulp_of_exponent[eb >> 23];
+            if (err > worst[ci]) {
+                worst[ci] = err;
+                worst_x[ci] = x[j];
+            }
+        }
+        for (const auto& [kt, name] : tables) {
+            kt->exp_rows(x.data(), n, yv.data());
+            for (std::size_t j = 0; j < n; j++)
+                level_mismatches[ci] += !sameBits(yv[j], y[j]);
+        }
+    });
+    const std::size_t w = static_cast<std::size_t>(
+        std::max_element(worst.begin(), worst.end()) - worst.begin());
+    EXPECT_LE(worst[w], 1.0) << "at x=" << worst_x[w];
+    long mismatches = 0;
+    for (long m : level_mismatches)
+        mismatches += m;
+    EXPECT_EQ(mismatches, 0);
+    EXPECT_TRUE(sameBits(exec::foldExp(0.f), 1.f));
+    EXPECT_TRUE(sameBits(exec::foldExp(-0.f), 1.f));
+    EXPECT_TRUE(sameBits(exec::foldExp(-std::numeric_limits<float>::infinity()),
+                         0.f));
 }
 
 } // namespace

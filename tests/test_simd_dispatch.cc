@@ -2,13 +2,13 @@
  * @file
  * SIMD dispatch tests: the BITDEC_SIMD override (scalar forcing, bogus
  * values, unsupported-ISA requests failing fast with the detected CPU
- * features), availability gating of the fp16/paged sibling backends,
- * fused-packed following the enabled level, and the level/kernel-table
- * invariants of the runtime detection.
+ * features), every fused backend following the enabled level, and the
+ * level/kernel-table invariants of the runtime detection.
  */
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "backend/registry.h"
 #include "exec/simd/dispatch.h"
@@ -88,70 +88,46 @@ TEST(SimdDispatchDeath, UnsupportedIsaRequestDiesNamingCpuFeatures)
                  "features: avx fma");
 }
 
-// ------------------------------------------- env-driven availability ----
+// ------------------------------------------------ env-driven level ----
 
 TEST(SimdDispatch, ScalarEnvForcesFallback)
 {
     ScopedSimdEnv env("scalar");
     EXPECT_EQ(exec::simd::enabledLevelCap(), Level::Scalar);
-    EXPECT_FALSE(exec::simd::levelEnabled(Level::Avx2));
-    EXPECT_FALSE(exec::simd::levelEnabled(Level::Avx512));
-    EXPECT_NE(exec::simd::unavailableReason(Level::Avx2)
-                  .find("BITDEC_SIMD"),
-              std::string::npos);
 }
 
-TEST(SimdDispatch, ScalarEnvHidesSiblingsFromListings)
+TEST(SimdDispatchDeath, BogusEnvDiesAtTheCap)
 {
-    ScopedSimdEnv env("scalar");
+    // The cap is read per decode call without building the feature list;
+    // a bad value must still die with the full message.
+    ScopedSimdEnv env("avx9000");
+    EXPECT_DEATH(exec::simd::enabledLevelCap(),
+                 "BITDEC_SIMD='avx9000' is not a SIMD level");
+}
+
+TEST(SimdDispatch, FusedBackendsRunAtTheEnabledLevel)
+{
+    // No per-ISA siblings: the three fused backends are the whole
+    // perf-gate set at every cap, and each runs at the enabled level.
     auto& reg = backend::BackendRegistry::instance();
-    for (const std::string& name : reg.availableNames()) {
+    const std::vector<std::string> fused = {"fused-fp16", "fused-packed",
+                                            "fused-paged"};
+    for (const std::string& name : reg.names())
         EXPECT_EQ(name.find("-avx"), std::string::npos) << name;
-    }
-    for (const std::string& name : reg.fusedNames()) {
-        EXPECT_EQ(name.find("-avx"), std::string::npos) << name;
-    }
-    // The scalar hot paths stay listed: forcing scalar never empties the
-    // perf-gate set.
-    EXPECT_EQ(static_cast<int>(reg.fusedNames().size()), 3);
-}
-
-TEST(SimdDispatchDeath, ResolvingDisabledSiblingDiesWithReason)
-{
-    ScopedSimdEnv env("scalar");
-    EXPECT_DEATH(
-        backend::BackendRegistry::instance().resolve("fused-paged-avx2"),
-        "'fused-paged-avx2' is unavailable on this host.*BITDEC_SIMD");
-}
-
-TEST(SimdDispatch, SiblingLevelsReportThemselves)
-{
-    auto& reg = backend::BackendRegistry::instance();
-    EXPECT_STREQ(reg.resolve("fused-paged").simdLevel(), "scalar");
-    const backend::AttentionBackend* avx2 = reg.find("fused-paged-avx2");
-    ASSERT_NE(avx2, nullptr);
-    EXPECT_STREQ(avx2->simdLevel(), "avx2");
-    const backend::AttentionBackend* avx512 = reg.find("fused-fp16-avx512");
-    ASSERT_NE(avx512, nullptr);
-    EXPECT_STREQ(avx512->simdLevel(), "avx512");
-}
-
-TEST(SimdDispatch, FusedPackedReportsTheEnabledLevel)
-{
-    // fused-packed has no siblings: it runs at the enabled level, and
-    // BITDEC_SIMD moves it.
-    auto& reg = backend::BackendRegistry::instance();
-    EXPECT_EQ(reg.find("fused-packed-avx2"), nullptr);
-    EXPECT_EQ(reg.find("fused-packed-avx512"), nullptr);
-    const backend::AttentionBackend& packed = reg.resolve("fused-packed");
-    EXPECT_STREQ(packed.simdLevel(),
-                 exec::simd::toString(exec::simd::enabledLevelCap()));
     for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512}) {
         if (!exec::simd::levelSupported(l))
             continue;
         ScopedSimdEnv env(exec::simd::toString(l));
-        EXPECT_STREQ(packed.simdLevel(), exec::simd::toString(l));
+        EXPECT_EQ(reg.fusedNames(), fused);
+        for (const std::string& name : fused)
+            EXPECT_STREQ(reg.resolve(name).simdLevel(),
+                         exec::simd::toString(l))
+                << name;
     }
+    for (const std::string& name : fused)
+        EXPECT_STREQ(reg.resolve(name).simdLevel(),
+                     exec::simd::toString(exec::simd::enabledLevelCap()))
+            << name;
 }
 
 } // namespace
