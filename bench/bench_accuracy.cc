@@ -25,6 +25,7 @@
 #include "backend/harness.h"
 #include "backend/registry.h"
 #include "bench_util.h"
+#include "build_commit.h"
 #include "exec/simd/dispatch.h"
 
 namespace bitdec {
@@ -73,15 +74,22 @@ struct Cell
     double max_abs, mean_abs;
 };
 
-/** Why @p be's cache cannot hold (d, context); empty when it can. */
+/** Why @p be cannot decode one [gq x d] tile over @p context tokens, as
+ *  its plan() reports it; empty when it can. */
 std::string
-unsupported(const backend::AttentionBackend& be, int head_dim)
+unsupported(const backend::AttentionBackend& be, int context, int head_dim,
+            int gq)
 {
-    // The packed cache's induced layout tiles K rows by the MMA K extent;
-    // the serving slice's 4-channel head does not fill one tile.
-    if (std::string(be.name()) == "fused-packed" && head_dim % 16 != 0)
-        return "packed layout needs head_dim % 16 == 0";
-    return {};
+    attn::DecodeShape shape;
+    shape.num_q_heads = gq;
+    shape.num_kv_heads = 1;
+    shape.head_dim = head_dim;
+    shape.seq_len = context;
+    shape.page_size = 64;
+    shape.scenario = be.capabilities().supportsScenario(attn::Scenario::Single)
+                         ? attn::Scenario::Single
+                         : attn::Scenario::Pages;
+    return be.plan(shape).reason;
 }
 
 Cell
@@ -89,7 +97,7 @@ measure(const backend::AttentionBackend& be, int context, int head_dim,
         int gq, bool outliers)
 {
     Cell cell{be.name(), context, head_dim, gq, outliers, false, {}, 0, 0};
-    cell.why_not = unsupported(be, head_dim);
+    cell.why_not = unsupported(be, context, head_dim, gq);
     if (!cell.why_not.empty())
         return cell;
     const float scale = 1.0f / std::sqrt(static_cast<float>(head_dim));
@@ -153,7 +161,7 @@ main()
             std::printf("%-28s%10.3e%10.3e\n", label.c_str(), c.max_abs,
                         c.mean_abs);
         else
-            std::printf("%-28s%20s\n", label.c_str(), c.why_not.c_str());
+            std::printf("%-28s  %s\n", label.c_str(), c.why_not.c_str());
     }
 
     const char* path = "BENCH_accuracy.json";

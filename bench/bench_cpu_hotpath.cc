@@ -34,6 +34,7 @@
 #include "backend/harness.h"
 #include "backend/registry.h"
 #include "bench_util.h"
+#include "build_commit.h"
 #include "serving/options.h"
 #include "core/bitdecoding.h"
 #include "core/packing_kernel.h"

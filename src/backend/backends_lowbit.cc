@@ -7,6 +7,8 @@
  * pre-packing QuantizedMatrix pair; `fused-packed` consumes the packed
  * cache and runs at the host's enabled SIMD level.
  */
+#include <string>
+
 #include "attention/kivi_baseline.h"
 #include "attention/qserve_baseline.h"
 #include "backend/registry.h"
@@ -49,9 +51,17 @@ class FusedPackedBackend : public AttentionBackend
         DecodePlan p = AttentionBackend::plan(shape);
         if (!p.supported)
             return p;
-        // Chunk = kChunkBlocks residual blocks of the default KC-4
-        // tiling (Eq. 1); caches packed with other configs scale Nr
-        // accordingly.
+        // Planned for the default KC-4 tiling; caches packed with other
+        // configs scale Nr (Eq. 1) accordingly.
+        const std::string misfit = kv::PackedHeadCache::headDimMisfit(
+            shape.head_dim, 4, layout::WarpTiling{});
+        if (!misfit.empty()) {
+            p.supported = false;
+            p.reason = "backend 'fused-packed' cannot pack head_dim " +
+                       std::to_string(shape.head_dim) + ": " + misfit;
+            return p;
+        }
+        // Chunk = kChunkBlocks residual blocks.
         p.kv_chunk = core::kChunkBlocks *
                      layout::residualBlockSize(layout::WarpTiling{}, 4);
         p.splits = (shape.seq_len + p.kv_chunk - 1) / p.kv_chunk;

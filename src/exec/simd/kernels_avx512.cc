@@ -106,47 +106,9 @@ struct VecAvx512
     }
 };
 
-/** convert_transpose with 16 tokens per step for four-channel heads:
- *  each register holds 4 tokens x 4 channels, an in-lane 4x4 transpose
- *  leaves channel j's tokens in order 0 4 8 12 | 1 5 9 13 | ..., and one
- *  permute restores it. Other heads and the tail take the 8-wide path. */
-void
-convertTransposeAvx512(const Half* src, int tokens, int d, float* kT,
-                       int t_stride)
-{
-    int t = 0;
-    if (d == 4) {
-        const std::size_t ts = static_cast<std::size_t>(t_stride);
-        const __m512i order = _mm512_setr_epi32(0, 4, 8, 12, 1, 5, 9, 13, 2,
-                                                6, 10, 14, 3, 7, 11, 15);
-        for (; t + 16 <= tokens; t += 16) {
-            __m512 r[4];
-            for (int i = 0; i < 4; i++)
-                r[i] = _mm512_cvtph_ps(_mm256_loadu_si256(
-                    reinterpret_cast<const __m256i*>(
-                        src + static_cast<std::size_t>(t + 4 * i) * 4)));
-            const __m512 t0 = _mm512_unpacklo_ps(r[0], r[1]);
-            const __m512 t1 = _mm512_unpackhi_ps(r[0], r[1]);
-            const __m512 t2 = _mm512_unpacklo_ps(r[2], r[3]);
-            const __m512 t3 = _mm512_unpackhi_ps(r[2], r[3]);
-            const __m512 c[4] = {
-                _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(1, 0, 1, 0)),
-                _mm512_shuffle_ps(t0, t2, _MM_SHUFFLE(3, 2, 3, 2)),
-                _mm512_shuffle_ps(t1, t3, _MM_SHUFFLE(1, 0, 1, 0)),
-                _mm512_shuffle_ps(t1, t3, _MM_SHUFFLE(3, 2, 3, 2))};
-            for (int j = 0; j < 4; j++)
-                _mm512_storeu_ps(kT + static_cast<std::size_t>(j) * ts +
-                                     static_cast<std::size_t>(t),
-                                 _mm512_permutexvar_ps(order, c[j]));
-        }
-    }
-    impl::convertTransposeF16c(src + static_cast<std::size_t>(t) * d,
-                               tokens - t, d, kT + t, t_stride);
-}
-
 const KernelTable kTable = {
     impl::convertRowsF16c,
-    convertTransposeAvx512,
+    impl::convertTransposeF16c,
     foldTile<VecAvx512>,
     expRows<VecAvx512>,
     impl::groupValuesImpl<VecAvx512>,

@@ -74,6 +74,18 @@ Fp16HeadCache::deviceBytes() const
     return 2.0 * len_ * head_dim_ * 2.0; // K and V, 2 bytes per half
 }
 
+std::string
+PackedHeadCache::headDimMisfit(int head_dim, int bits,
+                               const layout::WarpTiling& tiling)
+{
+    const int nr = layout::residualBlockSize(tiling, bits);
+    const std::string k = layout::InducedLayout::misfit(tiling, bits,
+                                                         head_dim, nr);
+    return k.empty() ? layout::InducedLayout::misfit(tiling, bits, nr,
+                                                     head_dim)
+                     : k;
+}
+
 PackedHeadCache::PackedHeadCache(int head_dim, const quant::QuantConfig& config,
                                  const layout::WarpTiling& tiling)
     : head_dim_(head_dim),
@@ -317,9 +329,14 @@ packBlock(const Tensor<Half>& k_block, const Tensor<Half>& v_block,
         k_params = kq.params;
         v_params = vq.params;
     }
-    // The block outlives everything above: copy it into storage allocated
-    // only now, after the quantization temporaries are freed, so a sealed
-    // block takes their place instead of pinning a freed hole below it.
+    // Allocator workaround, kept for the benchmark's peak_rss_mb bound
+    // (perfbench): under glibc malloc, a sealed block allocated while the
+    // quantization temporaries are live lands above them and pins the
+    // holes they leave. Copying it into storage allocated only after they
+    // are freed lets it fill those holes instead. It costs one copy of the
+    // packed block per seal and depends on the allocator's placement; drop
+    // it once the benchmark stops growing its per-iteration records with
+    // throughput (ROADMAP.md).
     k_out.units.assign(k_units.begin(), k_units.end());
     v_out.units.assign(v_units.begin(), v_units.end());
     k_out.params = k_params;

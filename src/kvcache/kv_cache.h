@@ -13,6 +13,7 @@
 #define BITDEC_KVCACHE_KV_CACHE_H
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/half.h"
@@ -90,6 +91,14 @@ class PackedHeadCache
      */
     PackedHeadCache(int head_dim, const quant::QuantConfig& config,
                     const layout::WarpTiling& tiling);
+
+    /**
+     * Why a head of @p head_dim cannot be packed at @p bits under
+     * @p tiling (empty when it can): the K block ([d x Nr], transposed)
+     * and the V block ([Nr x d]) must both fit their induced layouts.
+     */
+    static std::string headDimMisfit(int head_dim, int bits,
+                                     const layout::WarpTiling& tiling);
 
     /** Appends one token; may trigger packing of a full residual block. */
     void append(const std::vector<Half>& k, const std::vector<Half>& v);

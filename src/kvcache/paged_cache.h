@@ -16,6 +16,7 @@
 #ifndef BITDEC_KVCACHE_PAGED_CACHE_H
 #define BITDEC_KVCACHE_PAGED_CACHE_H
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "common/half.h"
+#include "common/logging.h"
 #include "common/tensor.h"
 #include "kvcache/status.h"
 
@@ -290,10 +292,18 @@ class PagedHeadCache
     };
     using PoolArray = std::unique_ptr<Half[], FreeDeleter>;
 
-    /** Flat index of (page, slot, channel) in a pool array. */
+    /** Flat index of (page, slot, channel) in a pool array. Checked in
+     *  every build: an offloaded page (kNoPage) or a stray slot must
+     *  panic, never read or write outside the pool. */
     std::size_t poolIndex(std::size_t page, std::size_t slot,
                           std::size_t d) const
     {
+        BITDEC_ASSERT(page < static_cast<std::size_t>(allocator_.totalPages()) &&
+                          slot < static_cast<std::size_t>(page_size_) &&
+                          d < static_cast<std::size_t>(head_dim_),
+                      "pool index out of bounds (page ",
+                      static_cast<std::ptrdiff_t>(page), ", slot ", slot,
+                      ", channel ", d, ")");
         return (page * static_cast<std::size_t>(page_size_) + slot) *
                    static_cast<std::size_t>(head_dim_) +
                d;

@@ -9,18 +9,31 @@ InducedLayout::InducedLayout(const WarpTiling& tiling, int bits, int k_rows,
                              int n_cols)
     : tiling_(tiling), bits_(bits), k_rows_(k_rows), n_cols_(n_cols)
 {
-    BITDEC_ASSERT(bits == 2 || bits == 4, "induced layout supports 4/2 bits");
+    const std::string why = misfit(tiling, bits, k_rows, n_cols);
+    BITDEC_ASSERT(why.empty(), why);
     const int pk = tiling.pk();
     const int pn = tiling.pn();
     const int r = tilesPerUnit();
-    BITDEC_ASSERT(k_rows % pk == 0, "K rows ", k_rows,
-                  " not a multiple of the MMA K extent ", pk);
-    BITDEC_ASSERT(n_cols % (pn * r) == 0, "N cols ", n_cols,
-                  " not a multiple of Pn*R = ", pn * r,
-                  " (residual block misalignment)");
     k_tiles_ = k_rows / pk;
     n_groups_ = n_cols / (pn * r);
     pairs_per_lane_ = pk / 8; // 2 register pairs for k16, 1 for k8
+}
+
+std::string
+InducedLayout::misfit(const WarpTiling& tiling, int bits, int k_rows,
+                      int n_cols)
+{
+    if (bits != 2 && bits != 4)
+        return "induced layout supports 4/2 bits";
+    const int pk = tiling.pk();
+    const int pn_r = tiling.pn() * (16 / bits); // Pn * R
+    if (k_rows % pk != 0)
+        return detail::concat("K rows ", k_rows,
+                              " not a multiple of the MMA K extent ", pk);
+    if (n_cols % pn_r != 0)
+        return detail::concat("N cols ", n_cols, " not a multiple of Pn*R = ",
+                              pn_r, " (residual block misalignment)");
+    return {};
 }
 
 std::size_t

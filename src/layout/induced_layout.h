@@ -27,6 +27,7 @@
 #define BITDEC_LAYOUT_INDUCED_LAYOUT_H
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gpusim/fragment.h"
@@ -67,6 +68,14 @@ class InducedLayout
      * @param n_cols operand columns (N dimension)
      */
     InducedLayout(const WarpTiling& tiling, int bits, int k_rows, int n_cols);
+
+    /**
+     * Why a @p k_rows x @p n_cols operand cannot take this layout (empty
+     * when it can): K rows tile by the MMA K extent, N columns by Pn * R.
+     * The constructor panics with this reason.
+     */
+    static std::string misfit(const WarpTiling& tiling, int bits, int k_rows,
+                              int n_cols);
 
     /** Codes per 32-bit unit (2 lanes x R fields). */
     int codesPerUnit() const { return 32 / bits_; }

@@ -165,6 +165,13 @@ TEST(BackendPlan, ReportsChunkingAndRejectsWrongScenarios)
     ASSERT_TRUE(pk.supported);
     EXPECT_GT(pk.kv_chunk, 0);
     EXPECT_GT(pk.splits, 1);
+
+    // ... and only over heads its induced layouts can tile.
+    shape.head_dim = 4;
+    const backend::DecodePlan pk4 = reg.resolve("fused-packed").plan(shape);
+    EXPECT_FALSE(pk4.supported);
+    EXPECT_NE(pk4.reason.find("head_dim 4"), std::string::npos) << pk4.reason;
+    EXPECT_TRUE(reg.resolve("fused-fp16").plan(shape).supported);
 }
 
 // ------------------------------------------------ digest parity sweep ---

@@ -404,7 +404,7 @@ TEST(SimdProperties, ConvertTransposeMatchesLutAtOddShapes)
         GTEST_SKIP();
     Rng rng(4242);
     for (const auto& [kt, name] : tables) {
-        // Four-channel heads take dedicated 8- and 16-token transposes.
+        // Four-channel heads take a dedicated 8-token transpose.
         for (const auto [tokens, d] :
              {std::pair{1, 37}, std::pair{13, 24}, std::pair{16, 16},
               std::pair{23, 129}, std::pair{9, 4}, std::pair{64, 4},

@@ -149,6 +149,23 @@ TEST(PagedCacheChurn, EmptySequenceGathersZeroRows)
     EXPECT_EQ(vals.dim(0), 0u);
 }
 
+TEST(PagedCacheChurn, ReadsThroughAnOffloadedPagePanic)
+{
+    kv::PagedHeadCache cache(2, 3, 4);
+    const int s = cache.addSequence();
+    for (int t = 0; t < 5; t++)
+        ASSERT_TRUE(cache.append(s, tokenVec(2, static_cast<float>(t)),
+                                 tokenVec(2, static_cast<float>(-t))));
+    std::vector<Half> k(6), v(6);
+    cache.evictPage(s, 0, k.data(), v.data());
+    // The hole is page id kNoPage; every pool read through it must stop
+    // at the bounds check, not wrap to memory before the pool.
+    EXPECT_DEATH(cache.gatherKeys(s), "pool index out of bounds");
+    EXPECT_DEATH(cache.gatherValues(s), "pool index out of bounds");
+    EXPECT_DEATH(cache.tokenKey(s, 1), "pool index out of bounds");
+    EXPECT_EQ(cache.tokenKey(s, 4)[0].toFloat(), 4.0f); // resident page
+}
+
 TEST(PagedCache, HeadroomQueries)
 {
     kv::PagedHeadCache cache(4, 4, 4); // 16 token capacity
