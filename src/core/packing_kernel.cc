@@ -6,9 +6,9 @@
 #include <vector>
 
 #include "attention/reference.h"
+#include "common/aligned_vector.h"
 #include "common/logging.h"
 #include "core/query_transform.h"
-#include "exec/dequant_plan.h"
 #include "exec/fused_attention.h"
 #include "exec/simd/dispatch.h"
 #include "gpusim/fragment.h"
@@ -117,13 +117,14 @@ fragmentMatchesLayout(const FragmentLayout& bl, const WarpFragment<Half>& frag,
 }
 
 /**
- * Dequantizes one packed block through a SIMD kernel table: the block's
- * group values from its params (into @p values), then the plan's walk.
+ * Dequantizes one packed block through a level's kernel table: the
+ * block's group values from its params (into @p values), then the plan's
+ * walk.
  */
 void
 dequantLinear(const exec::simd::KernelTable& kt, const kv::PackedBlock& blk,
               const exec::simd::LinearDequantPlan& plan,
-              std::vector<float>& values, float* out)
+              AlignedVector<float>& values, float* out)
 {
     const std::size_t n_groups = blk.params.numel();
     const std::size_t need =
@@ -405,17 +406,14 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
 {
     namespace simd = exec::simd;
     // The host's enabled level (BITDEC_SIMD caps it), resolved once per
-    // call; null at scalar, which dequantizes through the route tables.
-    const simd::KernelTable* kt = simd::kernels(simd::enabledLevelCap());
-    const simd::FoldTileFn fold =
-        kt != nullptr ? kt->fold_tile : exec::foldTile;
+    // call.
+    const simd::KernelTable& kt = simd::kernels(simd::enabledLevelCap());
 
     const int d = cache.headDim();
     const int gq = static_cast<int>(q_tile.dim(0));
     BITDEC_ASSERT(gq >= 1 && gq <= 16, "query tile must fit one m16 tile");
     BITDEC_ASSERT(static_cast<int>(q_tile.dim(1)) == d, "query width mismatch");
     const int nr = cache.residualBlockSize();
-    const int bits = cache.config().bits;
     const std::size_t dd = static_cast<std::size_t>(d);
 
     // Q converts once, in bulk.
@@ -431,17 +429,15 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
         gq, d, static_cast<std::size_t>(n_chunks), pool,
         [&](std::size_t ci, float* m, float* l, float* acc) {
             // Reusable scratch: one dequantized [Nr x d] tile each for K
-            // (channel-major) and V, the scalar path's token-major K, the
-            // SIMD path's group values and the fold's scratch.
-            // Thread-local, grow-only — zero allocations in steady state.
-            thread_local std::vector<float> kd, vd, krows, values, s;
+            // (channel-major) and V, the group values and the fold's
+            // scratch. Thread-local, grow-only — zero allocations in
+            // steady state.
+            thread_local AlignedVector<float> kd, vd, values, s;
             const std::size_t tile = static_cast<std::size_t>(nr) * dd;
             if (kd.size() < tile) {
                 kd.resize(tile);
                 vd.resize(tile);
             }
-            if (kt == nullptr && krows.size() < tile)
-                krows.resize(tile);
             const std::size_t scratch = exec::foldScratchFloats(gq, nr);
             if (s.size() < scratch)
                 s.resize(scratch);
@@ -453,25 +449,16 @@ fusedPackedAttention(const Tensor<Half>& q_tile,
                     k_blocks[static_cast<std::size_t>(blk)];
                 const kv::PackedBlock& vb =
                     v_blocks[static_cast<std::size_t>(blk)];
-                if (kt == nullptr) {
-                    // Token-major K and V through the route tables.
-                    exec::dequantBlock(kb.units, cache.keyRoutes(),
-                                       kb.params, bits, krows.data());
-                    exec::transposeTile(krows.data(), nr, d, kd.data(), nr);
-                    exec::dequantBlock(vb.units, cache.valueRoutes(),
-                                       vb.params, bits, vd.data());
-                } else {
-                    // K dequantizes channel-major ([d x Nr]) straight
-                    // through the remapped linear plan — no transpose.
-                    dequantLinear(*kt, kb, cache.keyLinearPlan(), values,
-                                  kd.data());
-                    dequantLinear(*kt, vb, cache.valueLinearPlan(), values,
-                                  vd.data());
-                }
+                // K dequantizes channel-major ([d x Nr]) straight
+                // through its plan — no transpose.
+                dequantLinear(kt, kb, cache.keyLinearPlan(), values,
+                              kd.data());
+                dequantLinear(kt, vb, cache.valueLinearPlan(), values,
+                              vd.data());
                 // P rounds through half precision exactly like the sAcc
                 // round trip (round_p = true).
-                fold(qf.data(), gq, d, kd.data(), nr, vd.data(), nr, scale,
-                     m, l, acc, s.data(), /*round_p=*/true);
+                kt.fold_tile(qf.data(), gq, d, kd.data(), nr, vd.data(), nr,
+                             scale, m, l, acc, s.data(), /*round_p=*/true);
             }
         });
 

@@ -77,11 +77,11 @@ PackingKernelResult packingKernelAttention(const Tensor<Half>& q_tile,
  * at use, and consumed by QK/softmax/PV immediately, so the full FP16
  * cache is never materialized and nothing is allocated per tile.
  *
- * The kernels run at the host's enabled SIMD level
- * (exec::simd::enabledLevelCap(), capped by BITDEC_SIMD): the AVX2 and
- * AVX-512 tables walk the cache's linear plans (K straight into a
- * channel-major tile for the lane-per-token QK loop), `scalar` walks the
- * route tables. Every level produces the same bytes.
+ * The kernels run through the table of the host's enabled SIMD level
+ * (exec::simd::enabledLevelCap(), capped by BITDEC_SIMD), scalar
+ * included: every level walks the cache's linear dequant plans, K
+ * straight into a channel-major tile for the lane-per-token QK loop, and
+ * produces the same bytes.
  *
  * KV blocks are processed in fixed-size chunks whose partial softmax
  * states merge sequentially in chunk order, so the output is bitwise

@@ -51,28 +51,7 @@ foldScratchFloats(int gq, int tokens)
 }
 
 void
-transposeTile(const float* src, int tokens, int d, float* kT, int ts)
-{
-    const std::size_t dd = static_cast<std::size_t>(d);
-    for (int t = 0; t < tokens; t++)
-        for (int c = 0; c < d; c++)
-            kT[static_cast<std::size_t>(c) * static_cast<std::size_t>(ts) +
-               static_cast<std::size_t>(t)] =
-                src[static_cast<std::size_t>(t) * dd +
-                    static_cast<std::size_t>(c)];
-}
-
-void
-foldTile(const float* qf, int gq, int d, const float* kT, int k_stride,
-         const float* vf, int tokens, float scale, float* m, float* l,
-         float* acc, float* scratch, bool round_p)
-{
-    simd::foldTile<simd::ScalarLanes>(qf, gq, d, kT, k_stride, vf, tokens,
-                                      scale, m, l, acc, scratch, round_p);
-}
-
-void
-foldHalfTile(const simd::KernelTable* kt, const float* qf, int gq, int d,
+foldHalfTile(const simd::KernelTable& kt, const float* qf, int gq, int d,
              const Half* k, const Half* v, int tokens, float scale, float* m,
              float* l, float* acc)
 {
@@ -82,19 +61,10 @@ foldHalfTile(const simd::KernelTable* kt, const float* qf, int gq, int d,
     float* kT = grown(kbuf, n);
     float* vf = grown(vbuf, n);
     float* scratch = grown(sbuf, foldScratchFloats(gq, tokens));
-    if (kt != nullptr) {
-        kt->convert_rows(v, n, vf);
-        kt->convert_transpose(k, tokens, d, kT, tokens);
-        kt->fold_tile(qf, gq, d, kT, tokens, vf, tokens, scale, m, l, acc,
-                      scratch, /*round_p=*/false);
-        return;
-    }
-    // Scalar level: K widens token-major into the V buffer's place first.
-    toFloat(k, vf, n);
-    transposeTile(vf, tokens, d, kT, tokens);
-    toFloat(v, vf, n);
-    foldTile(qf, gq, d, kT, tokens, vf, tokens, scale, m, l, acc, scratch,
-             /*round_p=*/false);
+    kt.convert_rows(v, n, vf);
+    kt.convert_transpose(k, tokens, d, kT, tokens);
+    kt.fold_tile(qf, gq, d, kT, tokens, vf, tokens, scale, m, l, acc,
+                 scratch, /*round_p=*/false);
 }
 
 void
@@ -181,8 +151,8 @@ fusedPagedAttention(const Tensor<Half>& q, const kv::PagedHeadCache& cache,
                     int seq, float scale, ThreadPool* pool)
 {
     // The host's enabled level (BITDEC_SIMD caps it), resolved once per
-    // call; null at scalar.
-    const simd::KernelTable* kt = simd::kernels(simd::enabledLevelCap());
+    // call.
+    const simd::KernelTable& kt = simd::kernels(simd::enabledLevelCap());
     const int d = cache.headDim();
     const int gq = static_cast<int>(q.dim(0));
     BITDEC_ASSERT(static_cast<int>(q.dim(1)) == d, "query width mismatch");
@@ -210,7 +180,7 @@ Tensor<float>
 fusedFp16Attention(const Tensor<Half>& q, const kv::Fp16HeadCache& cache,
                    float scale, ThreadPool* pool)
 {
-    const simd::KernelTable* kt = simd::kernels(simd::enabledLevelCap());
+    const simd::KernelTable& kt = simd::kernels(simd::enabledLevelCap());
     const int d = cache.headDim();
     const int gq = static_cast<int>(q.dim(0));
     BITDEC_ASSERT(static_cast<int>(q.dim(1)) == d, "query width mismatch");

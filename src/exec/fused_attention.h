@@ -4,11 +4,12 @@
  *
  * These are the serving-side hot paths: decode attention straight over the
  * paged KV pool (page-table indirection, no gather copies) and over a
- * contiguous FP16 cache. Both run at the host's enabled SIMD level
- * (exec::simd::enabledLevelCap(), capped by BITDEC_SIMD) with the 16-lane
- * fold arithmetic of exec/simd/fold16.h, so every level gives the same
- * bytes. KV chunks of a fixed size fold independently (optionally across
- * the thread pool) into one partial each, and the partials merge in chunk
+ * contiguous FP16 cache. Both run through the kernel table of the host's
+ * enabled SIMD level (exec::simd::enabledLevelCap(), capped by
+ * BITDEC_SIMD; scalar is a table like the others) with the 16-lane fold
+ * arithmetic of exec/simd/fold16.h, so every level gives the same bytes.
+ * KV chunks of a fixed size fold independently (optionally across the
+ * thread pool) into one partial each, and the partials merge in chunk
  * order, so results are also bitwise identical for any thread count.
  */
 #ifndef BITDEC_EXEC_FUSED_ATTENTION_H
@@ -49,34 +50,19 @@ struct SoftmaxPartial
  * The fused path's exp: mul, add and exact conversions only (no FMA, no
  * libm), within 1 ulp of double-precision exp on [-88, 0]. Every exp of
  * the fold, the per-tile rescale and the chunk merge is this function;
- * each SIMD level's KernelTable::exp_rows gives the same bits.
+ * every level's KernelTable::exp_rows gives the same bits.
  */
 float foldExp(float x);
 
 /** Scratch floats one fold of @p tokens tokens and @p gq rows needs. */
 std::size_t foldScratchFloats(int gq, int tokens);
 
-/** Token-major [tokens x d] floats to channel-major: kT[c * ts + t]. */
-void transposeTile(const float* src, int tokens, int d, float* kT, int ts);
-
-/**
- * The scalar level of the 16-lane fold (simd::FoldTileFn): one K/V tile
- * folded into a partial state's arrays. The lanes are emulated with
- * arrays; every SIMD level's KernelTable::fold_tile gives the same bytes.
- *
- * @param round_p round P through half precision — the packed kernel's
- *                sAcc round trip; false for the FP16/paged paths
- */
-void foldTile(const float* qf, int gq, int d, const float* kT, int k_stride,
-              const float* vf, int tokens, float scale, float* m, float* l,
-              float* acc, float* scratch, bool round_p);
-
 /**
  * Converts one token-major Half K/V tile — K into a channel-major float
- * copy, V as stored — and folds it (round_p false) at the level of @p kt
- * (null = scalar).
+ * copy, V as stored — and folds it with plain float P (round_p false)
+ * through the level table @p kt.
  */
-void foldHalfTile(const simd::KernelTable* kt, const float* qf, int gq,
+void foldHalfTile(const simd::KernelTable& kt, const float* qf, int gq,
                   int d, const Half* k, const Half* v, int tokens,
                   float scale, float* m, float* l, float* acc);
 

@@ -179,15 +179,15 @@ enabledLevelCap()
     return resolveSimdOverride(value, max_supported, describeCpuFeatures());
 }
 
-const KernelTable*
+const KernelTable&
 kernels(Level l)
 {
-    switch (l) {
-    case Level::Scalar: return nullptr;
-    case Level::Avx2: return avx2Kernels();
-    case Level::Avx512: return avx512Kernels();
-    }
-    return nullptr;
+    const KernelTable* table = l == Level::Avx512 ? avx512Kernels()
+                               : l == Level::Avx2 ? avx2Kernels()
+                                                  : scalarKernels();
+    BITDEC_ASSERT(table != nullptr, "SIMD level ", toString(l),
+                  " is not compiled into this binary");
+    return *table;
 }
 
 } // namespace bitdec::exec::simd

@@ -78,9 +78,9 @@ Level enabledLevelCap();
 Level resolveSimdOverride(const char* value, Level max_supported,
                           const std::string& features);
 
-/** The kernel table of @p l; null for Scalar or a level not compiled
- *  in. Callers on the hot path resolve once per decode, not per tile. */
-const KernelTable* kernels(Level l);
+/** The kernel table of @p l (fatal for a level not compiled in).
+ *  Callers on the hot path resolve once per decode, not per tile. */
+const KernelTable& kernels(Level l);
 
 } // namespace bitdec::exec::simd
 

@@ -33,10 +33,10 @@
  * double-precision exp on [-88, 0] (the worst case is subnormal);
  * exp16(+-0) = 1 and exp16(-inf) = 0 exactly.
  *
- * Everything here has internal linkage on purpose: fused_attention.cc
- * (scalar lanes, baseline flags) and the ISA kernel TUs (through
- * kernels_impl.h) each compile their own copy, so no symbol built under
- * one TU's -m flags can be linker-folded into another. All of them
+ * Everything here has internal linkage on purpose: kernels_scalar.cc and
+ * fused_attention.cc (scalar lanes, baseline flags) and the ISA kernel
+ * TUs (through kernels_impl.h) each compile their own copy, so no symbol
+ * built under one TU's -m flags can be linker-folded into another. All of them
  * compile with -ffp-contract=off, so no mul/add pair fuses into an FMA.
  */
 #ifndef BITDEC_EXEC_SIMD_FOLD16_H

@@ -1,11 +1,13 @@
 /**
  * @file
- * Per-ISA kernel tables of the SIMD hot path.
+ * Per-level kernel tables of the fused hot path.
  *
- * Each ISA translation unit (kernels_avx2.cc, kernels_avx512.cc) is
- * compiled with its own -m flags and exports one KernelTable of plain
- * function pointers; dispatch.cc maps a runtime-detected Level to a
- * table. The table is deliberately POD-only — raw pointers and sizes, no
+ * Every level exports one KernelTable of plain function pointers:
+ * kernels_scalar.cc with the library's baseline flags, and one
+ * translation unit per ISA (kernels_avx2.cc, kernels_avx512.cc) compiled
+ * with its own -m flags. dispatch.cc maps a runtime-detected Level to its
+ * table, so every fused backend calls the same entries at every level.
+ * The table is deliberately POD-only — raw pointers and sizes, no
  * std containers — so the ISA TUs never instantiate common template code
  * that the linker could fold across differently-flagged TUs (the classic
  * way an AVX-512-encoded std::vector helper ends up running on an AVX2
@@ -17,7 +19,7 @@
  * head_dim) alone — QK in per-token channel order, the exp-sum striding
  * by token mod 16, PV one lane per (row, channel) or, when gq * d < 16,
  * spare lanes given to tokens, one fixed combine tree, and a mul/add-only
- * exp. The scalar level emulates the 16 lanes with arrays, AVX2 runs them
+ * exp. The scalar table emulates the 16 lanes with arrays, AVX2 runs them
  * as two registers and AVX-512 as one; the whole library compiles with
  * -ffp-contract=off so no level fuses a mul/add pair. Conversion is
  * exact, group values round through binary16 exactly as the scalar
@@ -37,18 +39,6 @@ namespace bitdec::exec::simd {
 /** Floats past a group-values table that a row lookup may read. */
 constexpr std::size_t kGroupValuesPad = 16;
 
-/**
- * One K/V tile folded into a split-softmax partial state (the arrays of
- * exec::SoftmaxPartial) with the 16-lane arithmetic. K is channel-major
- * (element (t, c) at kT[c * k_stride + t]), V token-major [tokens x d].
- * @p scratch holds exec::foldScratchFloats(gq, tokens) floats.
- * exec::foldTile is the scalar level of the same signature.
- */
-using FoldTileFn = void (*)(const float* qf, int gq, int d, const float* kT,
-                            int k_stride, const float* vf, int tokens,
-                            float scale, float* m, float* l, float* acc,
-                            float* scratch, bool round_p);
-
 /** The hot loops + the Half->float conversions they feed on. */
 struct KernelTable
 {
@@ -63,8 +53,18 @@ struct KernelTable
     void (*convert_transpose)(const Half* src, int tokens, int d, float* kT,
                               int t_stride);
 
-    /** The 16-lane fold at this level; bit-identical to exec::foldTile. */
-    FoldTileFn fold_tile;
+    /**
+     * One K/V tile folded into a split-softmax partial state (the arrays
+     * of exec::SoftmaxPartial) with the 16-lane arithmetic. K is
+     * channel-major (element (t, c) at kT[c * k_stride + t]), V
+     * token-major [tokens x d]. @p scratch holds
+     * exec::foldScratchFloats(gq, tokens) floats; @p round_p rounds P
+     * through half precision (the packed kernel's sAcc round trip).
+     */
+    void (*fold_tile)(const float* qf, int gq, int d, const float* kT,
+                      int k_stride, const float* vf, int tokens, float scale,
+                      float* m, float* l, float* acc, float* scratch,
+                      bool round_p);
 
     /** The fold's exp over @p n floats; bit-identical to exec::foldExp. */
     void (*exp_rows)(const float* x, std::size_t n, float* out);
@@ -72,21 +72,24 @@ struct KernelTable
     /**
      * Derives one block's dequantized values from its parameters:
      * values[g << bits | q] = quant::dequantMagicValue(q, params[g]) for
-     * every group g < n_groups and code q < 2^bits. Same mul, add and
-     * binary16 roundings as the scalar arithmetic (F16C round trips), so
-     * bit-identical to it. @p values holds (n_groups << bits) +
-     * kGroupValuesPad floats: a lookup reads a whole 16-entry row.
+     * every group g < n_groups and code q < 2^bits. The SIMD levels do
+     * the same mul, add and binary16 roundings with F16C round trips, so
+     * they are bit-identical to the scalar arithmetic. @p values holds
+     * (n_groups << bits) + kGroupValuesPad floats: a lookup reads a whole
+     * 16-entry row.
      */
     void (*group_values)(const Half2* params, std::size_t n_groups,
                          int bits, float* values);
 
     /**
      * Dequantizes one packed block through a LinearDequantPlan's SoA
-     * arrays (unit/shift/param, n elements) and the block's group values.
-     * When the plan's aligned runs of @p group_run destinations share one
-     * group and a run spans a whole vector, the vector's values come from
-     * one in-register permute of its group's row; otherwise they are
-     * gathered. Bit-identical to exec::dequantBlock over the same routing.
+     * arrays (unit/shift/param, n elements) and the block's group values:
+     * out[i] = values[param_of[i] | code], the code at @p shift_of[i] of
+     * word units[unit_of[i]]. At the SIMD levels, when the plan's aligned
+     * runs of @p group_run destinations share one group and a run spans a
+     * whole vector, the vector's values come from one in-register permute
+     * of its group's row; otherwise they are gathered. The lookup is
+     * integer-exact, so every level gives the same bytes.
      */
     void (*dequant_linear)(const std::uint32_t* units,
                            const std::uint32_t* unit_of,
@@ -95,6 +98,9 @@ struct KernelTable
                            int bits, int group_run, const float* values,
                            float* out);
 };
+
+/** The scalar table; always compiled in. */
+const KernelTable* scalarKernels();
 
 /** The AVX2 (+F16C) table; null when not compiled for this target. */
 const KernelTable* avx2Kernels();

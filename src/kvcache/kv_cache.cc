@@ -102,55 +102,28 @@ PackedHeadCache::PackedHeadCache(int head_dim, const quant::QuantConfig& config,
     BITDEC_ASSERT(nr_ % tiling.pk() == 0,
                   "residual block must be a multiple of the MMA K extent");
 
-    // Dequant routing shared by every block: both K and V land in a
-    // token-major [Nr x d] scratch tile; the parameter-group indices match
-    // the flat order of the blocks' params tensors.
+    // Dequant plans shared by every block; the parameter-group indices
+    // match the flat order of the blocks' params tensors.
     const std::uint32_t d = static_cast<std::uint32_t>(head_dim);
     const std::uint32_t gs = static_cast<std::uint32_t>(config.group_size);
     // Keys pack transposed ([d x Nr]): row = channel, col = token.
-    const auto k_dest = [d](int row, int col) {
-        return static_cast<std::uint32_t>(col) * d +
-               static_cast<std::uint32_t>(row);
-    };
-    const auto k_param =
-        config.key_granularity == quant::Granularity::TensorWise
-            ? std::function<std::uint32_t(int, int)>(
-                  [d, gs](int row, int col) {
-                      // params [Nr x d/gs] at (token, channel/gs)
-                      return static_cast<std::uint32_t>(col) * (d / gs) +
-                             static_cast<std::uint32_t>(row) / gs;
-                  })
-            : std::function<std::uint32_t(int, int)>(
-                  [d, gs](int row, int col) {
-                      // params [Nr/gs x d] at (token/gs, channel)
-                      return (static_cast<std::uint32_t>(col) / gs) * d +
-                             static_cast<std::uint32_t>(row);
-                  });
-    k_routes_ = exec::buildDequantRoutes(k_layout_, k_dest, k_param);
+    // Tensor-wise params are [Nr x d/gs] at (token, channel/gs),
+    // channel-wise ones [Nr/gs x d] at (token/gs, channel).
+    const bool tensor_wise =
+        config.key_granularity == quant::Granularity::TensorWise;
+    k_linear_ = exec::simd::buildLinearDequantPlan(
+        k_layout_, [d, gs, tensor_wise](int row, int col) {
+            const auto c = static_cast<std::uint32_t>(row);
+            const auto t = static_cast<std::uint32_t>(col);
+            return tensor_wise ? t * (d / gs) + c / gs : (t / gs) * d + c;
+        });
     // Values pack natural ([Nr x d]): row = token, col = channel;
     // params are always tensor-wise, [Nr x d/gs] at (token, channel/gs).
-    const auto v_dest = [d](int row, int col) {
-        return static_cast<std::uint32_t>(row) * d +
-               static_cast<std::uint32_t>(col);
-    };
-    const auto v_param = [d, gs](int row, int col) {
-        return static_cast<std::uint32_t>(row) * (d / gs) +
-               static_cast<std::uint32_t>(col) / gs;
-    };
-    v_routes_ = exec::buildDequantRoutes(v_layout_, v_dest, v_param);
-
-    // SoA plans for the SIMD dequant kernel. The key plan remaps every
-    // token-major destination t*d+c to the channel-major slot c*Nr+t, so
-    // the vector path dequantizes keys directly into QK's preferred layout.
-    const std::size_t n_elems =
-        static_cast<std::size_t>(nr_) * static_cast<std::size_t>(head_dim);
-    const std::uint32_t du = static_cast<std::uint32_t>(head_dim);
-    const std::uint32_t nru = static_cast<std::uint32_t>(nr_);
-    k_linear_ = exec::simd::buildLinearDequantPlan(
-        k_routes_, config.bits, n_elems,
-        [du, nru](std::uint32_t dest) { return (dest % du) * nru + dest / du; });
-    v_linear_ = exec::simd::buildLinearDequantPlan(v_routes_, config.bits,
-                                                   n_elems);
+    v_linear_ = exec::simd::buildLinearDequantPlan(
+        v_layout_, [d, gs](int row, int col) {
+            return static_cast<std::uint32_t>(row) * (d / gs) +
+                   static_cast<std::uint32_t>(col) / gs;
+        });
 }
 
 void

@@ -18,7 +18,6 @@
 
 #include "common/half.h"
 #include "common/tensor.h"
-#include "exec/dequant_plan.h"
 #include "exec/simd/dequant_linear.h"
 #include "layout/induced_layout.h"
 #include "layout/tile.h"
@@ -146,23 +145,9 @@ class PackedHeadCache
     int headDim() const { return head_dim_; }
 
     /**
-     * Dequant routing for key blocks: scratch destinations index a
-     * token-major [Nr x d] tile. Shared by all blocks of this cache.
-     */
-    const std::vector<exec::CodeRoute>& keyRoutes() const { return k_routes_; }
-
-    /** Dequant routing for value blocks (token-major [Nr x d] scratch). */
-    const std::vector<exec::CodeRoute>&
-    valueRoutes() const
-    {
-        return v_routes_;
-    }
-
-    /**
-     * Dest-ordered (SoA) inversion of keyRoutes() for the SIMD dequant
-     * kernel, remapped to a channel-major [d x Nr] scratch tile — the
-     * layout the vector QK loop reads, so packed keys dequantize straight
-     * into it with no transpose pass.
+     * Dequant plan for key blocks, channel-major [d x Nr] — the layout
+     * the fold's QK loop reads, so packed keys dequantize straight into
+     * it with no transpose pass. Shared by all blocks of this cache.
      */
     const exec::simd::LinearDequantPlan&
     keyLinearPlan() const
@@ -170,7 +155,7 @@ class PackedHeadCache
         return k_linear_;
     }
 
-    /** SoA inversion of valueRoutes() (token-major [Nr x d], as scalar). */
+    /** Dequant plan for value blocks, token-major [Nr x d]. */
     const exec::simd::LinearDequantPlan&
     valueLinearPlan() const
     {
@@ -207,11 +192,8 @@ class PackedHeadCache
     layout::InducedLayout k_layout_; //!< for one block: [d x Nr]
     layout::InducedLayout v_layout_; //!< for one block: [Nr x d]
 
-    std::vector<exec::CodeRoute> k_routes_; //!< shared key dequant routing
-    std::vector<exec::CodeRoute> v_routes_; //!< shared value dequant routing
-
-    exec::simd::LinearDequantPlan k_linear_; //!< SoA keys, channel-major
-    exec::simd::LinearDequantPlan v_linear_; //!< SoA values, token-major
+    exec::simd::LinearDequantPlan k_linear_; //!< keys, channel-major
+    exec::simd::LinearDequantPlan v_linear_; //!< values, token-major
 
     std::vector<PackedBlock> k_blocks_;
     std::vector<PackedBlock> v_blocks_;

@@ -147,11 +147,8 @@ unpackInduced(const InducedLayout& layout,
 {
     BITDEC_ASSERT(units.size() == layout.numUnits(),
                   "unit buffer size mismatch");
-    Tensor<std::uint8_t> codes(
-        {static_cast<std::size_t>(layout.numKTiles() * layout.tiling().pk()),
-         static_cast<std::size_t>(layout.numNGroups() *
-                                  layout.tilesPerUnit() *
-                                  layout.tiling().pn())});
+    Tensor<std::uint8_t> codes({static_cast<std::size_t>(layout.kRows()),
+                                static_cast<std::size_t>(layout.nCols())});
     std::uint8_t buf[16];
     for (int kt = 0; kt < layout.numKTiles(); kt++) {
         for (int ng = 0; ng < layout.numNGroups(); ng++) {

@@ -86,6 +86,12 @@ class InducedLayout
     /** Register pairs per lane per tile (2 for m16n8k16 B fragments). */
     int pairsPerLane() const { return pairs_per_lane_; }
 
+    /** Operand rows (the K extent). */
+    int kRows() const { return k_rows_; }
+
+    /** Operand columns (the N extent). */
+    int nCols() const { return n_cols_; }
+
     /** Number of 16-row K tiles. */
     int numKTiles() const { return k_tiles_; }
 

@@ -20,6 +20,18 @@ seedHalf(std::uint64_t seed, int lane)
     return Half(static_cast<float>(byte / 128.0 - 1.0));
 }
 
+/** Token @p pos of @p r as seeded K and V rows of @p dim halves each —
+ *  the bytes a prefill appends and a rot-hole rebuild restores. */
+void
+seedKvRow(const Request& r, int pos, int dim, Half* k, Half* v)
+{
+    const std::uint64_t seed = contentSeed(r, pos);
+    for (int d = 0; d < dim; d++) {
+        k[d] = seedHalf(seed, d);
+        v[d] = seedHalf(~seed, d);
+    }
+}
+
 /** FNV-1a fold of a key row's bit patterns. */
 std::uint64_t
 hashKeyRow(const std::vector<Half>& row)
@@ -194,13 +206,9 @@ Engine::appendToken(Request& r, int pos)
 {
     // Shared-prefix positions draw from the prefix stream, so a cold
     // prefill writes the exact bytes a prefix hit maps.
-    const std::uint64_t seed = contentSeed(r, pos);
     std::vector<Half> k(static_cast<std::size_t>(cfg_.cache_head_dim));
     std::vector<Half> v(static_cast<std::size_t>(cfg_.cache_head_dim));
-    for (int d = 0; d < cfg_.cache_head_dim; d++) {
-        k[static_cast<std::size_t>(d)] = seedHalf(seed, d);
-        v[static_cast<std::size_t>(d)] = seedHalf(~seed, d);
-    }
+    seedKvRow(r, pos, cfg_.cache_head_dim, k.data(), v.data());
     const bool ok = cache_.append(r.seq, k, v);
     BITDEC_ASSERT(ok, "append OOM after headroom planning");
 }
@@ -343,15 +351,10 @@ Engine::ensureResident(Request& r, double now, MetricsCollector& mc)
         const int page_tokens = std::min(len - i * ps, ps);
         std::vector<Half> k(static_cast<std::size_t>(ps) * row);
         std::vector<Half> v(static_cast<std::size_t>(ps) * row);
-        for (int t = 0; t < page_tokens; t++) {
-            const std::uint64_t seed = contentSeed(r, i * ps + t);
-            for (int d = 0; d < cfg_.cache_head_dim; d++) {
-                k[static_cast<std::size_t>(t) * row +
-                  static_cast<std::size_t>(d)] = seedHalf(seed, d);
-                v[static_cast<std::size_t>(t) * row +
-                  static_cast<std::size_t>(d)] = seedHalf(~seed, d);
-            }
-        }
+        for (int t = 0; t < page_tokens; t++)
+            seedKvRow(r, i * ps + t, cfg_.cache_head_dim,
+                      k.data() + static_cast<std::size_t>(t) * row,
+                      v.data() + static_cast<std::size_t>(t) * row);
         if (cache_.restorePage(r.seq, i, k.data(), v.data()) !=
             kv::CacheStatus::Ok)
             rebuild_oom = true; // pool dry: free pages below, retry
@@ -476,15 +479,22 @@ Engine::admissionError(const Request& r) const
 }
 
 double
-Engine::nextDeadline() const
+Engine::nextEventTime(double now) const
 {
-    // Earliest completion deadline still pending: cancellations are
-    // scheduling events, so idle-clock jumps must not skip past one.
-    double t = std::numeric_limits<double>::infinity();
+    // The next arrival, idle wake, shed deadline or pending completion
+    // deadline (cancellations are scheduling events, so the jump must not
+    // skip past one), or a runner's in-flight fetch becoming ready.
+    double t = std::min(sched_.nextIdleWake(), sched_.nextShedDeadline());
+    if (next_arrival_ < live_.size())
+        t = std::min(t, live_[next_arrival_]->arrival_s);
     for (const Request* r : live_)
         if (!r->done() && r->deadline_s > 0)
             t = std::min(t, r->deadline_s);
-    return t;
+    for (const Request* r : sched_.running())
+        if (r->fetch_ready_s > now)
+            t = std::min(t, r->fetch_ready_s);
+    BITDEC_ASSERT(std::isfinite(t), "engine stalled with nothing to wait for");
+    return std::max(now, t);
 }
 
 void
@@ -606,15 +616,7 @@ Engine::streamTick()
             sched_.admit(cache_, clock);
 
         if (sched_.running().empty()) {
-            double next_t = std::numeric_limits<double>::infinity();
-            if (next_arrival_ < live_.size())
-                next_t = live_[next_arrival_]->arrival_s;
-            next_t = std::min(next_t, sched_.nextIdleWake());
-            next_t = std::min(next_t, nextDeadline());
-            next_t = std::min(next_t, sched_.nextShedDeadline());
-            BITDEC_ASSERT(std::isfinite(next_t),
-                          "scheduler stalled with work pending");
-            clock = std::max(clock, next_t);
+            clock = nextEventTime(clock);
             return true;
         }
 
@@ -696,18 +698,7 @@ Engine::streamTick()
         // append, so jump the clock to the earliest fetch-ready time
         // (or the next arrival/wake) instead of spinning.
         if (plan.decode_batch == 0 && plan.prefill_tokens == 0) {
-            double next_t = std::numeric_limits<double>::infinity();
-            for (const Request* r : sched_.running())
-                if (r->fetch_ready_s > clock)
-                    next_t = std::min(next_t, r->fetch_ready_s);
-            if (next_arrival_ < live_.size())
-                next_t = std::min(next_t, live_[next_arrival_]->arrival_s);
-            next_t = std::min(next_t, sched_.nextIdleWake());
-            next_t = std::min(next_t, nextDeadline());
-            next_t = std::min(next_t, sched_.nextShedDeadline());
-            BITDEC_ASSERT(std::isfinite(next_t),
-                          "batch stalled with nothing to wait for");
-            clock = std::max(clock, next_t);
+            clock = nextEventTime(clock);
             return true;
         }
 

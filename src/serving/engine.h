@@ -297,8 +297,10 @@ class Engine
     /** Sequence ids of the running batch (offload protection set). */
     std::vector<int> runningSeqs() const;
 
-    /** Earliest pending completion deadline; +inf when none. */
-    double nextDeadline() const;
+    /** When an idle tick jumps the clock from @p now to: the earliest
+     *  pending scheduling event, never before @p now (fatal when there is
+     *  none). */
+    double nextEventTime(double now) const;
     ServingMetrics finalizeMetrics() const;
 
     const sim::GpuArch& arch_;

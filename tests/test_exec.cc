@@ -1,9 +1,9 @@
 /**
  * @file
  * Tests for the CPU execution backend: the Half conversion LUT and bulk
- * span helpers, the work-stealing thread pool, dequant routing, and —
- * most importantly — fused-vs-reference parity of the hot-path attention
- * kernels plus bitwise thread-count determinism.
+ * span helpers, the work-stealing thread pool, and — most importantly —
+ * fused-vs-reference parity of the hot-path attention kernels plus
+ * bitwise thread-count determinism.
  */
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "common/rng.h"
 #include "core/bitdecoding.h"
 #include "core/packing_kernel.h"
-#include "exec/dequant_plan.h"
 #include "exec/fused_attention.h"
 #include "exec/thread_pool.h"
 #include "gpusim/arch.h"
@@ -147,67 +146,6 @@ TEST(ThreadPool, ReusableAcrossManyParallelFors)
             sum.fetch_add(static_cast<long>(i));
         });
     EXPECT_EQ(sum.load(), 50l * (64 * 63 / 2));
-}
-
-// -------------------------------------------------------- dequant plan -----
-
-TEST(DequantPlan, BlockDequantMatchesReferenceBitExactly)
-{
-    for (int bits : {2, 4}) {
-        for (auto gran : {quant::Granularity::ChannelWise,
-                          quant::Granularity::TensorWise}) {
-            quant::QuantConfig qc;
-            qc.bits = bits;
-            qc.key_granularity = gran;
-            layout::WarpTiling tiling;
-            const int d = 64;
-            kv::PackedHeadCache cache(d, qc, tiling);
-            const int nr = cache.residualBlockSize();
-
-            Rng rng(1234 + bits);
-            Tensor<Half> k({static_cast<std::size_t>(2 * nr),
-                            static_cast<std::size_t>(d)});
-            Tensor<Half> v({static_cast<std::size_t>(2 * nr),
-                            static_cast<std::size_t>(d)});
-            randomize(k, rng);
-            randomize(v, rng);
-            cache.prefill(k, v);
-            ASSERT_EQ(static_cast<int>(cache.keyBlocks().size()), 2);
-
-            // The reference inverse of the whole cache.
-            Tensor<Half> kd, vd;
-            cache.dequantizeAll(kd, vd);
-
-            // The fused path's word-level dequant of each block, its group
-            // values derived from the params at use.
-            std::vector<float> kt(static_cast<std::size_t>(nr * d));
-            std::vector<float> vt(static_cast<std::size_t>(nr * d));
-            for (int blk = 0; blk < 2; blk++) {
-                const auto& kb =
-                    cache.keyBlocks()[static_cast<std::size_t>(blk)];
-                const auto& vb =
-                    cache.valueBlocks()[static_cast<std::size_t>(blk)];
-                exec::dequantBlock(kb.units, cache.keyRoutes(), kb.params,
-                                   bits, kt.data());
-                exec::dequantBlock(vb.units, cache.valueRoutes(), vb.params,
-                                   bits, vt.data());
-                for (int t = 0; t < nr; t++) {
-                    const std::size_t tok =
-                        static_cast<std::size_t>(blk * nr + t);
-                    for (int c = 0; c < d; c++) {
-                        EXPECT_EQ(kt[static_cast<std::size_t>(t * d + c)],
-                                  kd.at(tok, static_cast<std::size_t>(c))
-                                      .toFloat())
-                            << "K blk=" << blk << " t=" << t << " c=" << c;
-                        EXPECT_EQ(vt[static_cast<std::size_t>(t * d + c)],
-                                  vd.at(tok, static_cast<std::size_t>(c))
-                                      .toFloat())
-                            << "V blk=" << blk << " t=" << t << " c=" << c;
-                    }
-                }
-            }
-        }
-    }
 }
 
 // --------------------------------------------- fused packed attention ------

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 
 #include "common/rng.h"
@@ -311,6 +312,43 @@ TEST(PackedCache, HostBytesEqualDeviceBytes)
         EXPECT_EQ((packed.hostBytes() - residual) / packed.packedTokens(),
                   per_token)
             << "bits=" << bits;
+    }
+}
+
+TEST(PackedCache, LinearPlanGroupRunsArePinned)
+{
+    // The AVX-512 dequant looks a whole vector's values up with one
+    // permute of its group's row only when 16 aligned destinations share
+    // a group; a plan that lost its runs would silently gather instead.
+    // Channel-wise keys run along tokens in the channel-major K tile and
+    // values along channels; tensor-wise keys change group every token.
+    // The plan's arrays start on a cache line, so no vector load of them
+    // splits across two.
+    const auto on_line = [](const exec::simd::LinearDequantPlan& p) {
+        for (const void* a : {static_cast<const void*>(p.unit.data()),
+                              static_cast<const void*>(p.shift.data()),
+                              static_cast<const void*>(p.param.data())})
+            if (reinterpret_cast<std::uintptr_t>(a) % kCacheLineBytes != 0)
+                return false;
+        return true;
+    };
+    for (int d : {64, 128}) {
+        for (int bits : {2, 4}) {
+            for (const auto& [gran, key_run] :
+                 {std::pair{quant::Granularity::ChannelWise, 16},
+                  std::pair{quant::Granularity::TensorWise, 1}}) {
+                quant::QuantConfig qc;
+                qc.bits = bits;
+                qc.key_granularity = gran;
+                const kv::PackedHeadCache cache(d, qc, WarpTiling{});
+                EXPECT_EQ(cache.keyLinearPlan().group_run, key_run)
+                    << "d=" << d << " bits=" << bits;
+                EXPECT_EQ(cache.valueLinearPlan().group_run, 16)
+                    << "d=" << d << " bits=" << bits;
+                EXPECT_TRUE(on_line(cache.keyLinearPlan()) &&
+                            on_line(cache.valueLinearPlan()));
+            }
+        }
     }
 }
 

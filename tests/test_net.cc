@@ -951,7 +951,7 @@ TEST(NetLoopback, TypedErrorFramesForBadSubmitsAndCancels)
     std::map<std::int32_t, net::ErrorMsg> errors;
     bool done7 = false;
     net::NetEvent ev;
-    while (errors.size() < 5 || !done7) {
+    while (errors.size() < 6 || !done7) {
         ASSERT_TRUE(nc.readEvent(ev));
         if (ev.type == net::FrameType::Error)
             errors[ev.request_id] = ev.error;

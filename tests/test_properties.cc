@@ -345,14 +345,15 @@ TEST(ModelProperties, EveryModelRunsEverySystemAt4k)
 
 using exec::simd::Level;
 
-/** Supported SIMD kernel tables of this host, with their level names. */
+/** Kernel tables of every level this host supports, scalar included,
+ *  with their level names. */
 std::vector<std::pair<const exec::simd::KernelTable*, const char*>>
 supportedKernelTables()
 {
     std::vector<std::pair<const exec::simd::KernelTable*, const char*>> out;
-    for (Level l : {Level::Avx2, Level::Avx512})
+    for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512})
         if (exec::simd::levelSupported(l))
-            out.emplace_back(exec::simd::kernels(l), exec::simd::toString(l));
+            out.emplace_back(&exec::simd::kernels(l), exec::simd::toString(l));
     return out;
 }
 
@@ -373,9 +374,6 @@ TEST(SimdProperties, ConvertRowsWidensEveryHalfPatternExactly)
     // does. NaNs compare as NaN-ness (F16C may quiet a signaling payload
     // differently); no NaN ever reaches the hot path from real caches.
     const auto tables = supportedKernelTables();
-    if (tables.empty())
-        GTEST_SKIP() << "host has no SIMD level: "
-                     << exec::simd::describeCpuFeatures();
     std::vector<Half> src(65536);
     for (std::uint32_t i = 0; i < 65536; i++)
         src[i] = Half::fromBits(static_cast<std::uint16_t>(i));
@@ -400,8 +398,6 @@ TEST(SimdProperties, ConvertTransposeMatchesLutAtOddShapes)
     // The 8x8-block transpose must stay exact across both tail axes:
     // tokens % 8 != 0 and d % 8 != 0, down to a single token.
     const auto tables = supportedKernelTables();
-    if (tables.empty())
-        GTEST_SKIP();
     Rng rng(4242);
     for (const auto& [kt, name] : tables) {
         // Four-channel heads take a dedicated 8-token transpose.
@@ -427,17 +423,16 @@ TEST(SimdProperties, ConvertTransposeMatchesLutAtOddShapes)
 
 TEST(SimdProperties, LinearDequantBitExactUnderExtremeHalves)
 {
-    // Every SIMD table must derive a block's group values from its params
-    // with quant::dequantMagicValue's exact arithmetic, then dequantize
-    // through the linear plans to the reference inverse bit-for-bit —
-    // including blocks quantized from denormal and near-max half content,
-    // whose groups get denormal scales and folded biases that overflow to
-    // -inf. Keys cover both granularities (tensor-wise keys interleave
-    // groups along the channel-major tile and take the gathered lookup)
-    // and the channel-major remap.
+    // Every level's table, scalar included, must derive a block's group
+    // values from its params with quant::dequantMagicValue's exact
+    // arithmetic, then dequantize through the linear plans to the
+    // reference inverse bit-for-bit — including blocks quantized from
+    // denormal and near-max half content, whose groups get denormal
+    // scales and folded biases that overflow to -inf. Keys cover both
+    // granularities (tensor-wise keys interleave groups along the
+    // channel-major tile and take the gathered lookup) and the
+    // channel-major destinations.
     const auto tables = supportedKernelTables();
-    if (tables.empty())
-        GTEST_SKIP();
     int inf_bias_groups = 0;
     for (int bits : {4, 2}) {
         for (auto gran : {quant::Granularity::ChannelWise,
@@ -507,19 +502,19 @@ TEST(SimdProperties, LinearDequantBitExactUnderExtremeHalves)
                                            values.data(), out.data());
                         return out;
                     };
-                const std::vector<float> k_simd =
+                const std::vector<float> k_got =
                     dequant(cache.keyBlocks()[0], cache.keyLinearPlan());
-                const std::vector<float> v_simd =
+                const std::vector<float> v_got =
                     dequant(cache.valueBlocks()[0], cache.valueLinearPlan());
                 for (int t = 0; t < nr; t++)
                     for (int c = 0; c < d; c++) {
                         const std::size_t tt = static_cast<std::size_t>(t);
                         const std::size_t cc = static_cast<std::size_t>(c);
-                        ASSERT_TRUE(sameBits(k_simd[cc * nr + tt],
+                        ASSERT_TRUE(sameBits(k_got[cc * nr + tt],
                                              k_ref.at(tt, cc).toFloat()))
                             << name << " K bits=" << bits << " t=" << t
                             << " c=" << c;
-                        ASSERT_TRUE(sameBits(v_simd[tt * d + cc],
+                        ASSERT_TRUE(sameBits(v_got[tt * d + cc],
                                              v_ref.at(tt, cc).toFloat()))
                             << name << " V bits=" << bits << " t=" << t
                             << " c=" << c;
@@ -668,8 +663,8 @@ TEST(SimdProperties, FoldExpWithinOneUlpAndBitEqualAcrossLevels)
 {
     // exec::foldExp against double-precision exp for every float in
     // [-88, 0] (about 1.1e9 values) in optimized builds, every 4099th in
-    // debug and sanitizer builds; every SIMD level's exp_rows must give
-    // the scalar bits on the same inputs.
+    // debug and sanitizer builds; every level's exp_rows, the scalar
+    // table's included, must give foldExp's bits on the same inputs.
 #ifdef NDEBUG
     constexpr std::uint32_t kStride = 1;
 #else

@@ -33,13 +33,16 @@ TEST(SimdDispatch, SupportedLevelsAreMonotone)
 
 TEST(SimdDispatch, KernelTablesMatchSupport)
 {
-    // Scalar has no table by design; a supported SIMD level must have
-    // one (support includes "compiled in").
-    EXPECT_EQ(exec::simd::kernels(Level::Scalar), nullptr);
-    if (exec::simd::levelSupported(Level::Avx2))
-        EXPECT_NE(exec::simd::kernels(Level::Avx2), nullptr);
-    if (exec::simd::levelSupported(Level::Avx512))
-        EXPECT_NE(exec::simd::kernels(Level::Avx512), nullptr);
+    // Every supported level has its own table (support includes
+    // "compiled in"), scalar included.
+    std::vector<const exec::simd::KernelTable*> tables;
+    for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512})
+        if (exec::simd::levelSupported(l))
+            tables.push_back(&exec::simd::kernels(l));
+    ASSERT_FALSE(tables.empty());
+    for (std::size_t i = 0; i < tables.size(); i++)
+        for (std::size_t j = i + 1; j < tables.size(); j++)
+            EXPECT_NE(tables[i], tables[j]);
 }
 
 TEST(SimdDispatch, DescribesDetectedFeatures)
