@@ -7,6 +7,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -29,6 +30,10 @@ NetClient::connect(const std::string& host, int port, int max_retries,
     for (int attempt = 0;; attempt++) {
         fd_ = socket(AF_INET, SOCK_STREAM, 0);
         BITDEC_ASSERT(fd_ >= 0, "socket() failed: ", std::strerror(errno));
+        // A SUBMIT or CANCEL is one small frame the server should see at
+        // once, not after Nagle waits for the previous frame's ACK.
+        const int one = 1;
+        setsockopt(fd_, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
                       sizeof(addr)) == 0)
             break;

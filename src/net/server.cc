@@ -7,6 +7,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -132,6 +133,11 @@ Server::acceptNew()
         if (fd < 0)
             return; // EAGAIN (or transient error): nothing more to accept
         setNonBlocking(fd);
+        // Token frames are small and leave one pump round at a time:
+        // under Nagle each round after the first would wait for the
+        // peer's delayed ACK (40 ms minimum on Linux) before it is sent.
+        const int one = 1;
+        setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
         if (cfg_.so_sndbuf > 0)
             setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &cfg_.so_sndbuf,
                        sizeof(cfg_.so_sndbuf));
@@ -297,19 +303,23 @@ Server::readFrom(Conn& c)
 void
 Server::flush(Conn& c)
 {
-    while (!c.out.empty()) {
-        const ssize_t n =
-            send(c.fd, c.out.data(), c.out.size(), MSG_NOSIGNAL);
+    // Send from an offset and drop the sent prefix once at the end, so a
+    // run of partial sends does not move the unsent backlog each time.
+    std::size_t sent = 0;
+    while (sent < c.out.size()) {
+        const ssize_t n = send(c.fd, c.out.data() + sent,
+                               c.out.size() - sent, MSG_NOSIGNAL);
         if (n > 0) {
-            c.out.erase(0, static_cast<std::size_t>(n));
+            sent += static_cast<std::size_t>(n);
             continue;
         }
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-            return;
+            break;
         c.out.clear(); // peer is gone; drop the backlog
         c.closing = true;
         return;
     }
+    c.out.erase(0, sent);
 }
 
 void
@@ -351,10 +361,16 @@ Server::pump()
     // and the pause lifts the moment the reader drains. The check runs
     // before every tick, so a connection overshoots its limit by at
     // most one tick's worth of token frames.
+    //
+    // A tick that queued some request's first token ends the round: the
+    // frame goes out now instead of after up to ticks_per_round more
+    // ticks, and SUBMITs that arrived meanwhile are read at the next
+    // poll. The engine runs the same ticks either way.
+    first_token_queued_ = false;
     for (int i = 0; i < cfg_.ticks_per_round; i++) {
         if (overWatermark() || client_.streamIdle())
             break;
-        if (!client_.streamTick())
+        if (!client_.streamTick() || first_token_queued_)
             break;
     }
     emitFinished();
@@ -390,6 +406,8 @@ Server::run()
         t.output_hash = ev.output_hash;
         t.clock_s = ev.clock_s;
         enqueue(*it->second, encodeToken(t));
+        if (ev.index == 0)
+            first_token_queued_ = true;
     });
 
     inform("net: serving on ", cfg_.bind_host, ":", port_, " (backend ",

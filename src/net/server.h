@@ -57,7 +57,8 @@ struct ServerConfig
     //! the OS default. Together with write_buffer_limit this bounds the
     //! total memory a slow reader can pin per connection.
     int so_sndbuf = 0;
-    //! Engine ticks between poll rounds (pump granularity).
+    //! Most engine ticks between poll rounds (pump granularity); a round
+    //! also ends after a tick that produced some request's first token.
     int ticks_per_round = 64;
     //! Poll timeout while idle (ms); 0 while there is work to pump.
     int poll_interval_ms = 20;
@@ -144,6 +145,8 @@ class Server
     std::vector<std::unique_ptr<Conn>> conns_;
     std::unordered_map<int, Conn*> conn_of_; //!< request id -> connection
     int inflight_ = 0;
+    //! The current pump round queued a request's first TOKEN frame.
+    bool first_token_queued_ = false;
     long busy_rejections_ = 0;
     std::atomic<std::size_t> peak_write_buffer_{0};
 };

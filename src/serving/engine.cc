@@ -506,6 +506,7 @@ Engine::streamBegin(TokenSink sink)
     stream_active_ = true;
     sink_ = std::move(sink);
     live_.clear();
+    had_requests_ = false;
     next_arrival_ = 0;
     finished_ = 0;
     clock_ = 0;
@@ -532,6 +533,7 @@ Engine::streamAdd(Request* r)
                              return a->arrival_s < b->arrival_s;
                          });
     live_.insert(it, r);
+    had_requests_ = true;
     first_arrival_ = std::min(first_arrival_, r->arrival_s);
 }
 
@@ -566,10 +568,30 @@ Engine::streamClock() const
     return clock_;
 }
 
+void
+Engine::dropDone()
+{
+    // Finished and canceled requests hold no sequence and no pending
+    // deadline, so no walk of live_ needs them. Only the tail not yet
+    // enqueued keeps its done entries (requests canceled before their
+    // arrival tick); the enqueue loop steps over those.
+    const auto enqueued = live_.begin() + static_cast<std::ptrdiff_t>(
+                                              next_arrival_);
+    const auto kept = std::remove_if(
+        live_.begin(), enqueued, [](const Request* r) { return r->done(); });
+    const auto dropped = static_cast<std::size_t>(enqueued - kept);
+    live_.erase(kept, enqueued);
+    next_arrival_ -= dropped;
+    finished_ -= static_cast<int>(dropped);
+}
+
 bool
 Engine::streamTick()
 {
     BITDEC_ASSERT(stream_active_, "streamTick outside an active stream");
+    // A server's stream never closes: without the drop, every walk of
+    // live_ below would cover each request the stream has ever seen.
+    dropDone();
     if (streamIdle())
         return false;
     if (!clock_started_) {
@@ -899,7 +921,7 @@ Engine::streamEnd()
     BITDEC_ASSERT(streamIdle(), "streamEnd with live requests — pump "
                                 "streamTick until streamIdle first");
     ServingMetrics m;
-    if (!live_.empty())
+    if (had_requests_)
         m = finalizeMetrics();
     stream_active_ = false;
     sink_ = {};

@@ -297,6 +297,10 @@ class Engine
     /** Sequence ids of the running batch (offload protection set). */
     std::vector<int> runningSeqs() const;
 
+    /** Drops finished and canceled requests from the enqueued part of
+     *  live_; streamTick() calls it first. */
+    void dropDone();
+
     /** When an idle tick jumps the clock from @p now to: the earliest
      *  pending scheduling event, never before @p now (fatal when there is
      *  none). */
@@ -329,10 +333,12 @@ class Engine
     bool stream_active_ = false;
     TokenSink sink_;
     //! Live requests in arrival order (ties keep add order) — the
-    //! stream-mode twin of run()'s sorted `order` vector.
+    //! stream-mode twin of run()'s sorted `order` vector. Each tick
+    //! starts by dropping the enqueued requests that are done (dropDone).
     std::vector<Request*> live_;
+    bool had_requests_ = false;    //!< streamAdd ran since streamBegin
     std::size_t next_arrival_ = 0; //!< first live_ slot not yet enqueued
-    int finished_ = 0;             //!< done (finished or canceled) count
+    int finished_ = 0;             //!< done requests still in live_
     double clock_ = 0;
     bool clock_started_ = false; //!< clock_ seeded from the first arrival
     double first_arrival_ = std::numeric_limits<double>::infinity();

@@ -291,8 +291,8 @@ TEST(PackedCache, HostBytesEqualDeviceBytes)
     // A sealed block holds only what the device stores (words + params):
     // at d = 128 that is 160 B/token at 4 bits and 96 at 2 bits, against
     // 512 for FP16.
-    for (const auto [bits, per_token] : {std::pair{4, 160.0},
-                                         std::pair{2, 96.0}}) {
+    for (const auto& [bits, per_token] : {std::pair{4, 160.0},
+                                          std::pair{2, 96.0}}) {
         quant::QuantConfig qc;
         qc.bits = bits;
         kv::PackedHeadCache packed(128, qc, WarpTiling{});

@@ -6,8 +6,9 @@
  * concurrent clients whose streamed digests match an in-process run,
  * slow-reader backpressure with bounded server buffering, mid-stream
  * CANCEL, typed error frames, busy shedding at the admission cap,
- * graceful drain under load, and an accept landing in the same poll
- * round as a pending read.
+ * graceful drain under load, an accept landing in the same poll round as
+ * a pending read, and wall-clock delivery: no stream waits on a delayed
+ * ACK, and a first token does not wait for its pump round to end.
  */
 #include <gtest/gtest.h>
 
@@ -34,6 +35,7 @@
 #include "model/model_config.h"
 #include "serving/client.h"
 #include "serving/engine.h"
+#include "serving/metrics.h"
 #include "serving/request.h"
 
 namespace bitdec {
@@ -573,6 +575,77 @@ TEST(NetLoopback, DrainUnderLoadFinishesInFlightAndShedsNew)
 
     const ServingMetrics m = lb.stop();
     EXPECT_EQ(m.num_requests, kInFlight); // all in-flight work finished
+}
+
+/** Wall milliseconds since @p t0. */
+double
+msSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+}
+
+TEST(NetLoopback, MultiRoundStreamsDoNotWaitForDelayedAcks)
+{
+    // 200 output tokens span at least four pump rounds at the default 64
+    // ticks, and each round's TOKEN frames leave as one small send. Under
+    // Nagle a send waits while an earlier one is unacknowledged, and the
+    // client delays its ACK (40 ms minimum on Linux), so this closed loop
+    // would time the ACK timer instead of the engine. Attention is off:
+    // delivery does not depend on it, and without it the bound also holds
+    // in sanitizer builds, where the reference backend alone takes
+    // ~185 ms a request.
+    EngineConfig cfg = netTinyConfig();
+    cfg.backend.clear();
+    LoopbackServer lb(cfg);
+    net::NetClient nc;
+    ASSERT_TRUE(nc.connect("127.0.0.1", lb.port()));
+
+    std::vector<double> latency_ms;
+    for (int id = 1; id <= 9; id++) {
+        const auto t0 = std::chrono::steady_clock::now();
+        ASSERT_TRUE(nc.submit(toSubmit(workload(id, 32, 200))));
+        net::NetEvent ev;
+        do {
+            ASSERT_TRUE(nc.readEvent(ev));
+            ASSERT_NE(ev.type, net::FrameType::Error) << ev.error.message;
+        } while (ev.type != net::FrameType::Done);
+        latency_ms.push_back(msSince(t0));
+        EXPECT_TRUE(nc.streamDigestOk(id)) << "request " << id;
+    }
+    EXPECT_LT(serving::percentile(latency_ms, 50), 20.0);
+}
+
+TEST(NetLoopback, FirstTokenLeavesBeforeTheRoundEnds)
+{
+    // A pump round long enough to run the whole request: its first token
+    // must still go out when the engine produces it, not with the DONE.
+    // The request is long enough (~80 ms in an optimized build) that a
+    // few ms of scheduling delay under a parallel ctest cannot decide it.
+    net::ServerConfig sc;
+    sc.ticks_per_round = 1 << 20;
+    LoopbackServer lb(netTinyConfig(160), 1, sc);
+    net::NetClient nc;
+    ASSERT_TRUE(nc.connect("127.0.0.1", lb.port()));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(nc.submit(toSubmit(workload(1, 64, 1000))));
+    double first_token_ms = -1;
+    net::NetEvent ev;
+    do {
+        ASSERT_TRUE(nc.readEvent(ev));
+        ASSERT_NE(ev.type, net::FrameType::Error) << ev.error.message;
+        if (ev.type == net::FrameType::Token && ev.token.index == 0)
+            first_token_ms = msSince(t0);
+    } while (ev.type != net::FrameType::Done);
+    const double done_ms = msSince(t0);
+
+    ASSERT_GE(first_token_ms, 0.0);
+    EXPECT_LT(first_token_ms, done_ms / 4)
+        << "first token at " << first_token_ms << " ms, DONE at " << done_ms
+        << " ms";
+    EXPECT_TRUE(nc.streamDigestOk(1));
 }
 
 // ------------------------------------------------- raw-socket drivers ----

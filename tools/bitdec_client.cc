@@ -14,24 +14,32 @@
  * match the wire run byte for byte — the acceptance proof that the
  * socket layer is a pure driver over the deterministic engine.
  *
+ * It also prints wall-clock latency as seen from the client, each as a
+ * median with its sample count (plus the p95 from 200 samples on): time
+ * from sending a SUBMIT to the request's first TOKEN and to its DONE
+ * (finished requests only), and the gaps between a request's TOKENs.
+ *
  *   bitdec_client --port=9178 --clients=8 --requests=24 \
  *       --slow-client=0 --slow-ms=2 --verify-inprocess
  *
  * Exit codes: 0 = all checks passed, 1 = digest mismatch, lost frames
  * or an unexpected protocol error.
  */
+#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "gpusim/arch.h"
 #include "model/model_config.h"
 #include "net/client.h"
 #include "serving/client.h"
+#include "serving/metrics.h"
 #include "serving/options.h"
 #include "serving/trace.h"
 
@@ -64,6 +72,29 @@ struct WireResult
     bool stream_ok = false; //!< folded TOKEN stream matched DONE digest
     std::string error;      //!< ERROR frame text, if any
 };
+
+/** Wall-clock samples of the whole run, in ms. */
+struct WallSamples
+{
+    std::vector<double> ttft;    //!< SUBMIT sent -> first TOKEN
+    std::vector<double> latency; //!< SUBMIT sent -> DONE, finished only
+    std::vector<double> gap;     //!< between a request's consecutive TOKENs
+
+    void append(const WallSamples& o)
+    {
+        ttft.insert(ttft.end(), o.ttft.begin(), o.ttft.end());
+        latency.insert(latency.end(), o.latency.begin(), o.latency.end());
+        gap.insert(gap.end(), o.gap.begin(), o.gap.end());
+    }
+};
+
+using WallClock = std::chrono::steady_clock;
+
+double
+msBetween(WallClock::time_point from, WallClock::time_point to)
+{
+    return std::chrono::duration<double, std::milli>(to - from).count();
+}
 
 ClientArgs
 parseArgs(int argc, char** argv)
@@ -134,8 +165,8 @@ toSubmit(const Request& r)
 void
 runClient(const ClientArgs& a, int index, int port,
           const std::vector<Request>& slice, std::mutex& mu,
-          std::map<int, WireResult>& results, net::HelloMsg& hello,
-          bool& failed)
+          std::map<int, WireResult>& results, WallSamples& wall,
+          net::HelloMsg& hello, bool& failed)
 {
     net::NetClient nc;
     if (!nc.connect(a.host, port)) {
@@ -147,8 +178,12 @@ runClient(const ClientArgs& a, int index, int port,
         std::lock_guard<std::mutex> lock(mu);
         hello = nc.hello();
     }
-    for (const Request& r : slice)
+    std::unordered_map<int, WallClock::time_point> sent_at, last_token_at;
+    WallSamples mine;
+    for (const Request& r : slice) {
+        sent_at[r.id] = WallClock::now();
         nc.submit(toSubmit(r));
+    }
 
     const int cancel_id =
         (index == 0 && a.cancel_after_tokens > 0 && !slice.empty())
@@ -167,15 +202,27 @@ runClient(const ClientArgs& a, int index, int port,
             failed = true; // connection died with requests outstanding
             return;
         }
+        const WallClock::time_point now = WallClock::now();
         switch (ev.type) {
-        case net::FrameType::Token:
+        case net::FrameType::Token: {
+            const auto last = last_token_at.find(ev.request_id);
+            if (last == last_token_at.end())
+                mine.ttft.push_back(
+                    msBetween(sent_at[ev.request_id], now));
+            else
+                mine.gap.push_back(msBetween(last->second, now));
+            last_token_at[ev.request_id] = now;
             if (!cancel_sent && ev.request_id == cancel_id &&
                 nc.tokensReceived(cancel_id) >= a.cancel_after_tokens) {
                 nc.cancel(cancel_id);
                 cancel_sent = true;
             }
             break;
+        }
         case net::FrameType::Done: {
+            if (ev.done.finished != 0)
+                mine.latency.push_back(
+                    msBetween(sent_at[ev.request_id], now));
             std::lock_guard<std::mutex> lock(mu);
             WireResult& w = results[ev.request_id];
             w.done = true;
@@ -201,6 +248,20 @@ runClient(const ClientArgs& a, int index, int port,
             break; // SubmitOk / StatsJson
         }
     }
+    std::lock_guard<std::mutex> lock(mu);
+    wall.append(mine);
+}
+
+/** One wall-clock figure: its median and sample count, plus the p95
+ *  once 200 samples put ten of them beyond it. Reported, not gated. */
+void
+printWall(const char* name, const std::vector<double>& ms)
+{
+    std::printf("bitdec_client: wall %s median %.3f ms", name,
+                percentile(ms, 50));
+    if (ms.size() >= 200)
+        std::printf(", p95 %.3f ms", percentile(ms, 95));
+    std::printf(" (n=%zu)\n", ms.size());
 }
 
 } // namespace
@@ -219,6 +280,7 @@ main(int argc, char** argv)
 
     std::mutex mu;
     std::map<int, WireResult> results;
+    WallSamples wall;
     net::HelloMsg hello;
     bool failed = false;
 
@@ -226,7 +288,7 @@ main(int argc, char** argv)
     for (int c = 0; c < a.clients; c++)
         threads.emplace_back([&, c] {
             runClient(a, c, opts.port, slices[static_cast<std::size_t>(c)],
-                      mu, results, hello, failed);
+                      mu, results, wall, hello, failed);
         });
     for (std::thread& t : threads)
         t.join();
@@ -252,6 +314,9 @@ main(int argc, char** argv)
                 "connections; wire digest %016llx\n",
                 finished, canceled, a.clients,
                 static_cast<unsigned long long>(wire_digest));
+    printWall("TTFT", wall.ttft);
+    printWall("latency", wall.latency);
+    printWall("token gap", wall.gap);
     if (stream_bad > 0) {
         std::fprintf(stderr,
                      "bitdec_client: %d request(s) with lost or "
