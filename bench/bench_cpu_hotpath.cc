@@ -21,7 +21,9 @@
  * The full sweep also times `fused-paged` at every SIMD level this host
  * supports (BITDEC_SIMD scoped per level) on a 32K context in 64-token
  * pages: the serving slice's shape (one query row, head_dim 4 and 8) and
- * a model head (gq 8, head_dim 128).
+ * a model head (gq 8, head_dim 128). It times the packed cache's
+ * one-pass block seal the same way, per sealed token at every level and
+ * for the kv::packBlock reference chain, at head_dim 128.
  */
 #include <chrono>
 #include <cmath>
@@ -35,11 +37,13 @@
 #include "backend/registry.h"
 #include "bench_util.h"
 #include "build_commit.h"
+#include "common/rng.h"
 #include "serving/options.h"
 #include "core/bitdecoding.h"
 #include "core/packing_kernel.h"
 #include "exec/simd/dispatch.h"
 #include "exec/thread_pool.h"
+#include "kvcache/kv_cache.h"
 #include "../tests/scoped_simd_env.h"
 
 namespace bitdec {
@@ -119,6 +123,78 @@ runLevelRows()
             row.ms[static_cast<int>(l)] =
                 timeMs(d == 128 ? 3 : 20, [&] { paged.decodeStep(b); });
         }
+        rows.push_back(row);
+    }
+    return rows;
+}
+
+/** The packed cache's block seal at every SIMD level, and packBlock. */
+struct SealRow
+{
+    quant::QuantConfig config;
+    double ns[3];         //!< per sealed token by exec::simd::Level; -1 = unsupported
+    double pack_block_ns; //!< per token through kv::packBlock
+};
+
+constexpr int kSealHeadDim = 128;
+constexpr int kSealBlocks = 16;
+
+std::vector<SealRow>
+runSealRows()
+{
+    namespace simd = exec::simd;
+    std::vector<SealRow> rows;
+    for (const auto& [gran, bits] :
+         {std::pair{quant::Granularity::ChannelWise, 4},
+          std::pair{quant::Granularity::TensorWise, 4},
+          std::pair{quant::Granularity::ChannelWise, 2}}) {
+        SealRow row{{}, {-1.0, -1.0, -1.0}, 0};
+        row.config.bits = bits;
+        row.config.key_granularity = gran;
+        const layout::WarpTiling tiling;
+        const std::size_t d = kSealHeadDim;
+        const std::size_t nr =
+            static_cast<std::size_t>(layout::residualBlockSize(tiling, bits));
+        const std::size_t tokens = kSealBlocks * nr;
+        Tensor<Half> k({tokens, d}), v({tokens, d});
+        Rng rng(7);
+        for (std::size_t i = 0; i < k.numel(); i++) {
+            k[i] = Half(rng.uniformRange(-1.f, 1.f));
+            v[i] = Half(rng.uniformRange(-1.f, 1.f));
+        }
+        for (simd::Level l : {simd::Level::Scalar, simd::Level::Avx2,
+                              simd::Level::Avx512}) {
+            if (!simd::levelSupported(l))
+                continue;
+            const ScopedSimdEnv env(simd::toString(l));
+            double best = 1e300;
+            for (int rep = 0; rep < 3; rep++) {
+                kv::PackedHeadCache cache(kSealHeadDim, row.config, tiling);
+                const double t0 = nowMs();
+                cache.prefill(k, v);
+                best = std::min(best, nowMs() - t0);
+            }
+            row.ns[static_cast<int>(l)] = best * 1e6 / tokens;
+        }
+        const layout::InducedLayout klay(tiling, bits, kSealHeadDim,
+                                         static_cast<int>(nr));
+        const layout::InducedLayout vlay(tiling, bits, static_cast<int>(nr),
+                                         kSealHeadDim);
+        std::vector<Tensor<Half>> kbs, vbs;
+        for (std::size_t b = 0; b < kSealBlocks; b++) {
+            kbs.emplace_back(std::vector<std::size_t>{nr, d});
+            vbs.emplace_back(std::vector<std::size_t>{nr, d});
+            std::copy(k.data() + b * nr * d, k.data() + (b + 1) * nr * d,
+                      kbs.back().data());
+            std::copy(v.data() + b * nr * d, v.data() + (b + 1) * nr * d,
+                      vbs.back().data());
+        }
+        row.pack_block_ns = timeMs(3, [&] {
+            for (std::size_t b = 0; b < kSealBlocks; b++) {
+                kv::PackedBlock kb, vb;
+                kv::packBlock(kbs[b], vbs[b], row.config, klay, vlay, kb, vb);
+            }
+        }) * 1e6 / tokens;
         rows.push_back(row);
     }
     return rows;
@@ -285,6 +361,7 @@ main(int argc, char** argv)
     }
 
     std::vector<LevelRow> level_rows;
+    std::vector<SealRow> seal_rows;
     if (!smoke) {
         level_rows = runLevelRows();
         bench::section("fused-paged per SIMD level (1 thread, 32K, "
@@ -302,6 +379,22 @@ main(int argc, char** argv)
                     std::printf("%10.2f", ms * 1e6 / kLevelRowContext);
             }
             std::printf("\n");
+        }
+
+        seal_rows = runSealRows();
+        bench::section("block seal per SIMD level (1 thread, d 128, " +
+                       std::to_string(kSealBlocks) +
+                       " blocks; ns per sealed token)");
+        bench::head("config", {"scalar", "avx2", "avx512", "packBlock"});
+        for (const SealRow& r : seal_rows) {
+            std::printf("%-28s", r.config.label().c_str());
+            for (double ns : r.ns) {
+                if (ns < 0)
+                    std::printf("%10s", "-");
+                else
+                    std::printf("%10.1f", ns);
+            }
+            std::printf("%10.1f\n", r.pack_block_ns);
         }
     }
 
@@ -390,6 +483,30 @@ main(int argc, char** argv)
                 first = false;
             }
             std::fprintf(f, "}}%s\n", i + 1 < level_rows.size() ? "," : "");
+        }
+        std::fprintf(f, "  ]}");
+    }
+    if (!seal_rows.empty()) {
+        std::fprintf(f, ",\n  \"seal_levels\": {\"head_dim\": %d, "
+                        "\"blocks\": %d, \"rows\": [\n",
+                     kSealHeadDim, kSealBlocks);
+        for (std::size_t i = 0; i < seal_rows.size(); i++) {
+            const SealRow& r = seal_rows[i];
+            std::fprintf(f, "    {\"config\": \"%s\", \"ns_per_token\": {",
+                         r.config.label().c_str());
+            bool first = true;
+            for (int l = 0; l < 3; l++) {
+                if (r.ns[l] < 0)
+                    continue;
+                std::fprintf(f, "%s\"%s\": %.1f", first ? "" : ", ",
+                             exec::simd::toString(
+                                 static_cast<exec::simd::Level>(l)),
+                             r.ns[l]);
+                first = false;
+            }
+            std::fprintf(f, "}, \"pack_block_ns_per_token\": %.1f}%s\n",
+                         r.pack_block_ns,
+                         i + 1 < seal_rows.size() ? "," : "");
         }
         std::fprintf(f, "  ]}");
     }

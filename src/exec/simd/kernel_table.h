@@ -1,6 +1,7 @@
 /**
  * @file
- * Per-level kernel tables of the fused hot path.
+ * Per-level kernel tables of the fused hot path and the packed block
+ * seal.
  *
  * Every level exports one KernelTable of plain function pointers:
  * kernels_scalar.cc with the library's baseline flags, and one
@@ -23,7 +24,8 @@
  * as two registers and AVX-512 as one; the whole library compiles with
  * -ffp-contract=off so no level fuses a mul/add pair. Conversion is
  * exact, group values round through binary16 exactly as the scalar
- * arithmetic does, and the per-code dequant is an integer-exact lookup.
+ * arithmetic does, the per-code dequant is an integer-exact lookup, and
+ * the block seal replays quant::quantizeMatrix's arithmetic per element.
  * See docs/BACKENDS.md.
  */
 #ifndef BITDEC_EXEC_SIMD_KERNEL_TABLE_H
@@ -39,7 +41,36 @@ namespace bitdec::exec::simd {
 /** Floats past a group-values table that a row lookup may read. */
 constexpr std::size_t kGroupValuesPad = 16;
 
-/** The hot loops + the Half->float conversions they feed on. */
+/**
+ * One K or V operand of a full residual block, to be quantized and packed
+ * in one pass. Its destinations are the induced layout's operand in
+ * row-major order: channel-major [d x tokens] for keys (the K^T operand),
+ * token-major [tokens x d] for values; @p unit_of, @p shift_of,
+ * @p param_of and @p group_run are the cache's LinearDequantPlan over
+ * them (every code's word, in-word shift and parameter group). Both
+ * extents are multiples of 32, as every pair of induced layouts a packed
+ * cache holds makes them, so they tile by every level's vector width.
+ */
+struct SealOperand
+{
+    const Half* src;   //!< token-major [tokens x d] FP16 rows
+    int tokens;        //!< Nr
+    int d;             //!< head dim
+    int bits;          //!< code width
+    int group_size;    //!< elements per parameter group
+    bool keys;         //!< destinations channel-major (the K^T operand)
+    bool channel_wise; //!< groups run along tokens, not along channels
+    const std::uint32_t* unit_of;  //!< packed word per destination
+    const std::uint32_t* shift_of; //!< in-word shift per destination
+    const std::uint32_t* param_of; //!< param group per destination, << bits
+    int group_run;        //!< the plan's shared-group run length
+    std::uint32_t* units; //!< the block's words, zero on entry
+    Half2* params;        //!< quant::quantizeMatrix's params, flat
+    float* scratch;       //!< tokens * d floats
+};
+
+/** The hot loops, the Half->float conversions they feed on and the
+ *  block seal. */
 struct KernelTable
 {
     /** Bulk Half->float, bit-identical to toFloat()'s LUT widening. */
@@ -97,6 +128,20 @@ struct KernelTable
                            const std::uint32_t* param_of, std::size_t n,
                            int bits, int group_run, const float* values,
                            float* out);
+
+    /**
+     * Seals one operand: each group's min/max, quant::computeParams'
+     * half-rounded scale and zero, quant::quantizeValue's code for every
+     * element, each code ORed into its word. The bytes equal
+     * quant::quantizeMatrix + layout::packInduced (kv::packBlock) at
+     * every level. The SIMD levels find the parameters with one lane per
+     * group, so every min/max chain runs in the reference's element
+     * order (std::min / std::max, NaN and signed zeros included), then
+     * walk the destinations in plan order for the codes. They divide
+     * exactly, rebuild std::round's half-away rounding from truncation
+     * and round parameters through binary16 with F16C.
+     */
+    void (*seal_operand)(const SealOperand& op);
 };
 
 /** The scalar table; always compiled in. */

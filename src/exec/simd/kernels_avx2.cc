@@ -9,6 +9,8 @@
 
 #if defined(__AVX2__) && defined(__F16C__)
 
+#include <cmath>
+
 #include "exec/simd/kernels_impl.h"
 
 namespace bitdec::exec::simd {
@@ -120,6 +122,46 @@ struct VecAvx2
         return _mm256_blendv_ps(
             lo, hi, _mm256_castsi256_ps(_mm256_slli_epi32(idx, 28)));
     }
+
+    static F loadHalves(const Half* p)
+    {
+        return _mm256_cvtph_ps(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(p)));
+    }
+    static F div(F a, F b) { return _mm256_div_ps(a, b); }
+    static void storeI(std::uint32_t* p, I v)
+    {
+        _mm256_storeu_si256(reinterpret_cast<__m256i*>(p), v);
+    }
+    static I sllv(I a, I count) { return _mm256_sllv_epi32(a, count); }
+    static I shiftLeft16(I a) { return _mm256_slli_epi32(a, 16); }
+    /** Truncates toward zero (NaN maps to INT_MIN; callers clamp first). */
+    static I toInt(F x) { return _mm256_cvttps_epi32(x); }
+    /** Binary16 bits of every lane (round to nearest even), zero-extended. */
+    static I halfBits(F x)
+    {
+        return _mm256_cvtepu16_epi32(
+            _mm256_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT));
+    }
+    /** x where 0 < x < inf, else 1 (NaN included). */
+    static F positiveFiniteOrOne(F x)
+    {
+        const F ok = _mm256_and_ps(
+            _mm256_cmp_ps(x, zero(), _CMP_GT_OQ),
+            _mm256_cmp_ps(x, broadcast(INFINITY), _CMP_LT_OQ));
+        return _mm256_blendv_ps(broadcast(1.f), x, ok);
+    }
+    /** std::round: truncate, then step away from zero when the exact
+     *  remainder reaches one half. */
+    static F roundAway(F y)
+    {
+        const F sign = broadcast(-0.f);
+        const F t = _mm256_round_ps(y, _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC);
+        const F up = _mm256_cmp_ps(_mm256_andnot_ps(sign, _mm256_sub_ps(y, t)),
+                                   broadcast(0.5f), _CMP_GE_OQ);
+        const F step = _mm256_or_ps(_mm256_and_ps(y, sign), broadcast(1.f));
+        return _mm256_blendv_ps(t, _mm256_add_ps(t, step), up);
+    }
 };
 
 const KernelTable kTable = {
@@ -129,6 +171,7 @@ const KernelTable kTable = {
     expRows<VecAvx2>,
     impl::groupValuesImpl<VecAvx2>,
     impl::dequantLinearImpl<VecAvx2>,
+    impl::sealOperandImpl<VecAvx2>,
 };
 
 } // namespace

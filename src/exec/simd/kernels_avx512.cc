@@ -12,6 +12,8 @@
 #if defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512DQ__) && \
     defined(__AVX512VL__) && defined(__F16C__)
 
+#include <cmath>
+
 #include "exec/simd/kernels_impl.h"
 
 namespace bitdec::exec::simd {
@@ -104,6 +106,44 @@ struct VecAvx512
     {
         return _mm512_permutexvar_ps(idx, _mm512_loadu_ps(row));
     }
+
+    static F loadHalves(const Half* p)
+    {
+        return _mm512_cvtph_ps(
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p)));
+    }
+    static F div(F a, F b) { return _mm512_div_ps(a, b); }
+    static void storeI(std::uint32_t* p, I v) { _mm512_storeu_si512(p, v); }
+    static I sllv(I a, I count) { return _mm512_sllv_epi32(a, count); }
+    static I shiftLeft16(I a) { return _mm512_slli_epi32(a, 16); }
+    /** Truncates toward zero (NaN maps to INT_MIN; callers clamp first). */
+    static I toInt(F x) { return _mm512_cvttps_epi32(x); }
+    /** Binary16 bits of every lane (round to nearest even), zero-extended. */
+    static I halfBits(F x)
+    {
+        return _mm512_cvtepu16_epi32(
+            _mm512_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT));
+    }
+    /** x where 0 < x < inf, else 1 (NaN included). */
+    static F positiveFiniteOrOne(F x)
+    {
+        const __mmask16 ok =
+            _mm512_cmp_ps_mask(x, zero(), _CMP_GT_OQ) &
+            _mm512_cmp_ps_mask(x, broadcast(INFINITY), _CMP_LT_OQ);
+        return _mm512_mask_blend_ps(ok, broadcast(1.f), x);
+    }
+    /** std::round: truncate, then step away from zero when the exact
+     *  remainder reaches one half. */
+    static F roundAway(F y)
+    {
+        const F t = _mm512_roundscale_ps(y, _MM_FROUND_TO_ZERO |
+                                                _MM_FROUND_NO_EXC);
+        const __mmask16 up = _mm512_cmp_ps_mask(
+            _mm512_abs_ps(_mm512_sub_ps(y, t)), broadcast(0.5f), _CMP_GE_OQ);
+        const F step = _mm512_or_ps(_mm512_and_ps(y, broadcast(-0.f)),
+                                    broadcast(1.f));
+        return _mm512_mask_add_ps(t, up, t, step);
+    }
 };
 
 const KernelTable kTable = {
@@ -113,6 +153,7 @@ const KernelTable kTable = {
     expRows<VecAvx512>,
     impl::groupValuesImpl<VecAvx512>,
     impl::dequantLinearImpl<VecAvx512>,
+    impl::sealOperandImpl<VecAvx512>,
 };
 
 } // namespace

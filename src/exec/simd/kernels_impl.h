@@ -15,7 +15,10 @@
  *    extraction and lookups are integer ops), so any order works;
  *  - group values replay quant::dequantMagicValue per lane: the same mul,
  *    add and binary16 round-to-nearest-even (F16C cvtps2ph/cvtph2ps in
- *    place of the scalar bit-level rounding).
+ *    place of the scalar bit-level rounding);
+ *  - the seal replays quant::quantizeMatrix per lane: sequential min/max
+ *    chains, exact division, std::round rebuilt from truncation and F16C
+ *    parameter rounding; the words are ORs of exact integers.
  */
 #ifndef BITDEC_EXEC_SIMD_KERNELS_IMPL_H
 #define BITDEC_EXEC_SIMD_KERNELS_IMPL_H
@@ -28,6 +31,7 @@
 
 #include "common/half.h"
 #include "exec/simd/fold16.h"
+#include "exec/simd/kernel_table.h"
 
 namespace bitdec::exec::simd {
 
@@ -243,6 +247,117 @@ dequantLinearImpl(const std::uint32_t* units, const std::uint32_t* unit_of,
     for (; i < n; i++)
         out[i] = values[param_of[i] |
                         ((units[unit_of[i]] >> shift_of[i]) & maskv)];
+}
+
+/**
+ * An operand's parameters, lanes across groups: channel-wise groups (one
+ * channel's tokens) read W channels of the token-major FP16 rows,
+ * tensor-wise groups (one token's channels) read W tokens of the
+ * channel-major float copy in op.scratch. Element e of a lane's group is
+ * row e of that view, so each lane's min/max chain runs in the
+ * reference's element order; the scale and zero then replay
+ * quant::computeParams op for op.
+ */
+template <class V, bool kChannelWise>
+static void
+sealParams(const SealOperand& op)
+{
+    const std::size_t nt = static_cast<std::size_t>(op.tokens);
+    const std::size_t d = static_cast<std::size_t>(op.d);
+    const std::size_t gs = static_cast<std::size_t>(op.group_size);
+    const std::size_t run = kChannelWise ? nt : d;   // a group's axis
+    const std::size_t lanes = kChannelWise ? d : nt; // across groups
+    // Group (g, l), run g of lane l, is params[g * pg + l * pl]:
+    // quantizeMatrix's [Nr/gs x d] or [Nr x d/gs] order.
+    const std::size_t pg = kChannelWise ? d : 1;
+    const std::size_t pl = kChannelWise ? 1 : d / gs;
+    const auto load = [&](std::size_t e, std::size_t l) {
+        if constexpr (kChannelWise)
+            return V::loadHalves(op.src + e * d + l);
+        else
+            return V::load(op.scratch + e * nt + l);
+    };
+    const auto qmax = V::broadcast(static_cast<float>((1 << op.bits) - 1));
+    const auto sign = V::broadcast(-0.f);
+    alignas(64) std::uint32_t buf[V::W];
+    for (std::size_t g = 0; g < run / gs; g++) {
+        for (std::size_t l0 = 0; l0 < lanes; l0 += V::W) {
+            // std::min(mn, v) is (v < mn ? v : mn): min(v, mn) per lane.
+            auto mn = load(g * gs, l0);
+            auto mx = mn;
+            for (std::size_t i = 1; i < gs; i++) {
+                const auto v = load(g * gs + i, l0);
+                mn = V::min(v, mn);
+                mx = V::max(v, mx);
+            }
+            const auto hs = V::halfBits(
+                V::positiveFiniteOrOne(V::div(V::sub(mx, mn), qmax)));
+            const auto hz = V::halfBits(
+                V::roundAway(V::div(V::xorF(mn, sign), V::halvesLo(hs))));
+            // A Half2 is one word: scale low, zero high.
+            V::storeI(buf, V::orI(hs, V::shiftLeft16(hz)));
+            for (std::size_t j = 0; j < static_cast<std::size_t>(V::W); j++)
+                std::memcpy(static_cast<void*>(op.params + g * pg +
+                                               (l0 + j) * pl),
+                            buf + j, sizeof(std::uint32_t));
+        }
+    }
+}
+
+/**
+ * An operand's codes in destination order, W at a time: the operand
+ * element (the channel-major copy for keys, the FP16 rows for values),
+ * its group's scale and zero through the plan's param rows (one
+ * broadcast when the plan's aligned runs of W destinations share a
+ * group, else a gather), quant::quantizeValue op for op, and the code
+ * shifted into place and ORed into its word.
+ */
+template <class V, bool kKeys>
+static void
+sealCodes(const SealOperand& op)
+{
+    const std::size_t n =
+        static_cast<std::size_t>(op.tokens) * static_cast<std::size_t>(op.d);
+    const auto qmax = V::broadcast(static_cast<float>((1 << op.bits) - 1));
+    const auto bits = V::broadcastI(static_cast<std::uint32_t>(op.bits));
+    alignas(64) std::uint32_t part[V::W];
+    for (std::size_t i = 0; i < n; i += V::W) {
+        typename V::I w;
+        if (op.group_run >= V::W) {
+            std::uint32_t word = 0;
+            std::memcpy(&word, op.params + (op.param_of[i] >> op.bits),
+                        sizeof(word));
+            w = V::broadcastI(word);
+        } else {
+            w = V::gatherI(reinterpret_cast<const std::uint32_t*>(op.params),
+                           V::srlv(V::loadI(op.param_of + i), bits));
+        }
+        const auto x =
+            kKeys ? V::load(op.scratch + i) : V::loadHalves(op.src + i);
+        const auto q = V::add(V::roundAway(V::div(x, V::halvesLo(w))),
+                              V::halvesHi(w));
+        // max(q, 0) sends NaN to 0, as the reference's cast does.
+        const auto code = V::toInt(V::min(V::max(q, V::zero()), qmax));
+        V::storeI(part, V::sllv(code, V::loadI(op.shift_of + i)));
+        for (std::size_t j = 0; j < static_cast<std::size_t>(V::W); j++)
+            op.units[op.unit_of[i + j]] |= part[j];
+    }
+}
+
+/** KernelTable::seal_operand at a SIMD level. */
+template <class V>
+static void
+sealOperandImpl(const SealOperand& op)
+{
+    convertTransposeF16c(op.src, op.tokens, op.d, op.scratch, op.tokens);
+    if (op.channel_wise)
+        sealParams<V, true>(op);
+    else
+        sealParams<V, false>(op);
+    if (op.keys)
+        sealCodes<V, true>(op);
+    else
+        sealCodes<V, false>(op);
 }
 
 } // namespace impl

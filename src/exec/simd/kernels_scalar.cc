@@ -4,13 +4,18 @@
  * the library's baseline flags. The 16-lane fold and its exp are
  * fold16.h's template over ScalarLanes (sixteen plain floats); conversion
  * goes through the exact LUT, group values through
- * quant::dequantMagicGroup, and the dequant walks the plan's arrays one
- * destination at a time. Every entry gives the bytes of the SIMD tables.
+ * quant::dequantMagicGroup, the dequant walks the plan's arrays one
+ * destination at a time, and the seal is quant::quantizeMatrix's
+ * arithmetic written straight into the words. Every entry gives the
+ * bytes of the SIMD tables.
  */
 #include "exec/simd/kernel_table.h"
 
+#include <algorithm>
+
 #include "exec/simd/fold16.h"
 #include "quant/fast_dequant.h"
+#include "quant/int_quant.h"
 
 namespace bitdec::exec::simd {
 
@@ -59,6 +64,46 @@ dequantLinearScalar(const std::uint32_t* units, const std::uint32_t* unit_of,
                         ((units[unit_of[i]] >> shift_of[i]) & mask)];
 }
 
+/** The reference arithmetic over raw arrays, group after group in
+ *  quantizeMatrix's params order: the std::min/std::max chain,
+ *  quant::computeParams, quant::quantizeValue per element, and each code
+ *  ORed into its word through the plan arrays. */
+void
+sealOperandScalar(const SealOperand& op)
+{
+    const float* lut = halfToFloatLut();
+    const std::size_t nt = static_cast<std::size_t>(op.tokens);
+    const std::size_t d = static_cast<std::size_t>(op.d);
+    const std::size_t gs = static_cast<std::size_t>(op.group_size);
+    for (std::size_t g = 0; g < nt * d / gs; g++) {
+        // First element of group g and the step to its next one.
+        const std::size_t t0 = op.channel_wise ? g / d * gs : g / (d / gs);
+        const std::size_t c0 = op.channel_wise ? g % d : g % (d / gs) * gs;
+        const std::size_t dt = op.channel_wise ? 1 : 0;
+        const std::size_t dc = 1 - dt;
+        const auto x = [&](std::size_t i) {
+            return lut[op.src[(t0 + i * dt) * d + c0 + i * dc].bits()];
+        };
+        float mn = x(0);
+        float mx = mn;
+        for (std::size_t i = 1; i < gs; i++) {
+            const float v = x(i);
+            mn = std::min(mn, v);
+            mx = std::max(mx, v);
+        }
+        const quant::QuantParams p = quant::computeParams(mn, mx, op.bits);
+        op.params[g] = p.asHalf2();
+        for (std::size_t i = 0; i < gs; i++) {
+            const std::size_t t = t0 + i * dt;
+            const std::size_t c = c0 + i * dc;
+            const std::size_t k = op.keys ? c * nt + t : t * d + c;
+            op.units[op.unit_of[k]] |=
+                std::uint32_t{quant::quantizeValue(x(i), p, op.bits)}
+                << op.shift_of[k];
+        }
+    }
+}
+
 const KernelTable kTable = {
     convertRowsScalar,
     convertTransposeScalar,
@@ -66,6 +111,7 @@ const KernelTable kTable = {
     expRows<ScalarLanes>,
     groupValuesScalar,
     dequantLinearScalar,
+    sealOperandScalar,
 };
 
 } // namespace

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.h"
+#include "exec/simd/dispatch.h"
 #include "quant/fast_dequant.h"
 
 namespace bitdec::kv {
@@ -95,7 +96,9 @@ PackedHeadCache::PackedHeadCache(int head_dim, const quant::QuantConfig& config,
       k_layout_(tiling, config.bits, head_dim, nr_),
       v_layout_(tiling, config.bits, nr_, head_dim),
       k_res_({static_cast<std::size_t>(nr_), static_cast<std::size_t>(head_dim)}),
-      v_res_({static_cast<std::size_t>(nr_), static_cast<std::size_t>(head_dim)})
+      v_res_({static_cast<std::size_t>(nr_), static_cast<std::size_t>(head_dim)}),
+      seal_scratch_(static_cast<std::size_t>(nr_) *
+                    static_cast<std::size_t>(head_dim))
 {
     BITDEC_ASSERT(head_dim % tiling.pk() == 0,
                   "head_dim must be a multiple of the MMA K extent");
@@ -111,6 +114,11 @@ PackedHeadCache::PackedHeadCache(int head_dim, const quant::QuantConfig& config,
     // channel-wise ones [Nr/gs x d] at (token/gs, channel).
     const bool tensor_wise =
         config.key_granularity == quant::Granularity::TensorWise;
+    BITDEC_ASSERT(config.group_size > 0 && d % gs == 0 &&
+                      (tensor_wise || nr_ % config.group_size == 0),
+                  "group size ", config.group_size, " must divide head_dim ",
+                  head_dim, " and, for channel-wise keys, the ", nr_,
+                  "-token residual block");
     k_linear_ = exec::simd::buildLinearDequantPlan(
         k_layout_, [d, gs, tensor_wise](int row, int col) {
             const auto c = static_cast<std::uint32_t>(row);
@@ -132,15 +140,7 @@ PackedHeadCache::append(const std::vector<Half>& k, const std::vector<Half>& v)
     BITDEC_ASSERT(static_cast<int>(k.size()) == head_dim_ &&
                   static_cast<int>(v.size()) == head_dim_,
                   "K/V vector length must equal head_dim");
-    for (int d = 0; d < head_dim_; d++) {
-        k_res_.at(static_cast<std::size_t>(res_len_),
-                  static_cast<std::size_t>(d)) = k[static_cast<std::size_t>(d)];
-        v_res_.at(static_cast<std::size_t>(res_len_),
-                  static_cast<std::size_t>(d)) = v[static_cast<std::size_t>(d)];
-    }
-    res_len_++;
-    if (res_len_ == nr_)
-        packResidual();
+    appendRow(k.data(), v.data());
 }
 
 void
@@ -150,28 +150,61 @@ PackedHeadCache::prefill(const Tensor<Half>& k, const Tensor<Half>& v)
                   static_cast<int>(k.dim(1)) == head_dim_ &&
                   static_cast<int>(v.dim(1)) == head_dim_,
                   "prefill tensors must be [len x head_dim]");
-    std::vector<Half> kv(static_cast<std::size_t>(head_dim_));
-    std::vector<Half> vv(static_cast<std::size_t>(head_dim_));
-    for (std::size_t t = 0; t < k.dim(0); t++) {
-        for (int d = 0; d < head_dim_; d++) {
-            kv[static_cast<std::size_t>(d)] =
-                k.at(t, static_cast<std::size_t>(d));
-            vv[static_cast<std::size_t>(d)] =
-                v.at(t, static_cast<std::size_t>(d));
-        }
-        append(kv, vv);
+    const std::size_t len = k.dim(0);
+    const std::size_t d = static_cast<std::size_t>(head_dim_);
+    const std::size_t nr = static_cast<std::size_t>(nr_);
+    std::size_t t = 0;
+    for (; t < len && res_len_ > 0; t++)
+        appendRow(k.data() + t * d, v.data() + t * d);
+    for (; t + nr <= len; t += nr)
+        seal(k.data() + t * d, v.data() + t * d);
+    for (; t < len; t++)
+        appendRow(k.data() + t * d, v.data() + t * d);
+}
+
+void
+PackedHeadCache::appendRow(const Half* k, const Half* v)
+{
+    const std::size_t d = static_cast<std::size_t>(head_dim_);
+    const std::size_t at = static_cast<std::size_t>(res_len_) * d;
+    std::copy(k, k + d, k_res_.data() + at);
+    std::copy(v, v + d, v_res_.data() + at);
+    if (++res_len_ == nr_) {
+        seal(k_res_.data(), v_res_.data());
+        res_len_ = 0;
     }
 }
 
 void
-PackedHeadCache::packResidual()
+PackedHeadCache::seal(const Half* k, const Half* v)
 {
-    PackedBlock kb, vb;
-    packBlock(k_res_, v_res_, config_, k_layout_, v_layout_, kb, vb);
-    k_blocks_.push_back(std::move(kb));
-    v_blocks_.push_back(std::move(vb));
+    const exec::simd::KernelTable& kt =
+        exec::simd::kernels(exec::simd::enabledLevelCap());
+    const std::size_t d = static_cast<std::size_t>(head_dim_);
+    const std::size_t nr = static_cast<std::size_t>(nr_);
+    const std::size_t gs = static_cast<std::size_t>(config_.group_size);
+    const bool kc =
+        config_.key_granularity == quant::Granularity::ChannelWise;
+    // Params shaped as quantizeMatrix's: tensor-wise [Nr x d/gs],
+    // channel-wise [Nr/gs x d]. Values are always tensor-wise.
+    PackedBlock& kb = k_blocks_.emplace_back();
+    kb.units.resize(k_layout_.numUnits());
+    kb.params.reset(kc ? std::vector<std::size_t>{nr / gs, d}
+                       : std::vector<std::size_t>{nr, d / gs});
+    PackedBlock& vb = v_blocks_.emplace_back();
+    vb.units.resize(v_layout_.numUnits());
+    vb.params.reset({nr, d / gs});
+    kt.seal_operand({k, nr_, head_dim_, config_.bits, config_.group_size,
+                     true, kc, k_linear_.unit.data(), k_linear_.shift.data(),
+                     k_linear_.param.data(), k_linear_.group_run,
+                     kb.units.data(), kb.params.data(),
+                     seal_scratch_.data()});
+    kt.seal_operand({v, nr_, head_dim_, config_.bits, config_.group_size,
+                     false, false, v_linear_.unit.data(),
+                     v_linear_.shift.data(), v_linear_.param.data(),
+                     v_linear_.group_run, vb.units.data(), vb.params.data(),
+                     seal_scratch_.data()});
     packed_tokens_ += nr_;
-    res_len_ = 0;
 }
 
 double
@@ -283,37 +316,19 @@ packBlock(const Tensor<Half>& k_block, const Tensor<Half>& v_block,
           const layout::InducedLayout& v_layout, PackedBlock& k_out,
           PackedBlock& v_out)
 {
-    std::vector<std::uint32_t> k_units, v_units;
-    Tensor<Half2> k_params, v_params;
-    {
-        // Quantize in K-natural [Nr x d] coordinates. TensorWise groups
-        // run along the hidden dimension, ChannelWise along the token
-        // dimension.
-        const quant::QuantizedMatrix kq = quant::quantizeMatrix(
-            k_block, config.bits, config.key_granularity,
-            config.group_size);
-        // Values always use tensor-wise scaling (Section V-C).
-        const quant::QuantizedMatrix vq = quant::quantizeMatrix(
-            v_block, config.bits, quant::Granularity::TensorWise,
-            config.group_size);
-        // Keys feed Q*K^T as the B operand, so codes pack transposed.
-        k_units = packInduced(k_layout, transposeCodes(kq.codes));
-        v_units = packInduced(v_layout, vq.codes);
-        k_params = kq.params;
-        v_params = vq.params;
-    }
-    // Allocator workaround, kept for the benchmark's peak_rss_mb bound
-    // (perfbench): under glibc malloc, a sealed block allocated while the
-    // quantization temporaries are live lands above them and pins the
-    // holes they leave. Copying it into storage allocated only after they
-    // are freed lets it fill those holes instead. It costs one copy of the
-    // packed block per seal and depends on the allocator's placement; drop
-    // it once the benchmark stops growing its per-iteration records with
-    // throughput (ROADMAP.md).
-    k_out.units.assign(k_units.begin(), k_units.end());
-    v_out.units.assign(v_units.begin(), v_units.end());
-    k_out.params = k_params;
-    v_out.params = v_params;
+    // Quantize in K-natural [Nr x d] coordinates. TensorWise groups run
+    // along the hidden dimension, ChannelWise along the token dimension.
+    const quant::QuantizedMatrix kq = quant::quantizeMatrix(
+        k_block, config.bits, config.key_granularity, config.group_size);
+    // Values always use tensor-wise scaling (Section V-C).
+    const quant::QuantizedMatrix vq = quant::quantizeMatrix(
+        v_block, config.bits, quant::Granularity::TensorWise,
+        config.group_size);
+    // Keys feed Q*K^T as the B operand, so codes pack transposed.
+    k_out.units = packInduced(k_layout, transposeCodes(kq.codes));
+    v_out.units = packInduced(v_layout, vq.codes);
+    k_out.params = kq.params;
+    v_out.params = vq.params;
 }
 
 } // namespace bitdec::kv

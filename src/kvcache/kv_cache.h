@@ -76,9 +76,11 @@ struct PackedBlock
  * BitDecoding's partitioned low-bit cache for one head.
  *
  * Tokens enter the FP16 residual buffer; every time the residual reaches
- * Nr tokens the block is handed to the Residual Kernel path: quantized
- * (key granularity per config, values tensor-wise), packed through the
- * induced layout, and appended to the packed region.
+ * Nr tokens the block is sealed the way the Residual Kernel does it:
+ * quantized (key granularity per config, values tensor-wise) and packed
+ * through the induced layout in one pass of the kernel table's
+ * seal_operand, straight into the packed region. The bytes equal
+ * packBlock's.
  */
 class PackedHeadCache
 {
@@ -102,7 +104,12 @@ class PackedHeadCache
     /** Appends one token; may trigger packing of a full residual block. */
     void append(const std::vector<Half>& k, const std::vector<Half>& v);
 
-    /** Bulk-loads a prefill context, packing all complete blocks. */
+    /**
+     * Bulk-loads a prefill context: tops up a partly filled residual,
+     * seals every further full block straight from the context rows and
+     * keeps the tail in the residual. Leaves the cache that one append()
+     * per row would.
+     */
     void prefill(const Tensor<Half>& k, const Tensor<Half>& v);
 
     /** Total tokens (packed + residual). */
@@ -182,7 +189,15 @@ class PackedHeadCache
     void dequantizeAll(Tensor<Half>& k_out, Tensor<Half>& v_out) const;
 
   private:
-    void packResidual();
+    /** Copies one token's K/V row into the residual; seals a full one. */
+    void appendRow(const Half* k, const Half* v);
+
+    /**
+     * Quantizes and packs one full block of token-major [Nr x d] rows
+     * straight into new block storage, through the kernel table of the
+     * enabled SIMD level.
+     */
+    void seal(const Half* k, const Half* v);
 
     int head_dim_;
     quant::QuantConfig config_;
@@ -202,12 +217,16 @@ class PackedHeadCache
     Tensor<Half> k_res_; //!< [Nr x d]
     Tensor<Half> v_res_;
     int res_len_ = 0;
+
+    AlignedVector<float> seal_scratch_; //!< one operand's [d x Nr] floats
 };
 
 /**
  * Quantizes one residual block (k_block [Nr x d], v_block [Nr x d]) the way
- * the Residual Kernel does and packs it through the induced layouts.
- * Exposed for tests and for the Residual Kernel implementation.
+ * the Residual Kernel does and packs it through the induced layouts: the
+ * reference chain (quant::quantizeMatrix + layout::packInduced) that the
+ * cache's one-pass seal and the warp-emulated Residual Kernel are checked
+ * against.
  *
  * Keys are packed as the B operand of Q*K^T, i.e. transposed to [d x Nr];
  * values as the B operand of P*V, i.e. [Nr x d].

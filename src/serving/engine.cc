@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -445,6 +446,16 @@ Engine::evictIdleVictim(double now)
 std::string
 Engine::admissionError(const Request& r) const
 {
+    // The tick and the next-event search assume every time is finite and
+    // inside the clock's range.
+    for (const auto& [name, t] : {std::pair{"arrival_s", r.arrival_s},
+                                  std::pair{"idle_wake_s", r.idle_wake_s},
+                                  std::pair{"deadline_s", r.deadline_s}})
+        if (!std::isfinite(t) || t >= cfg_.max_clock_s)
+            return detail::concat("request ", r.id, " has ", name, " ", t,
+                                  " s; times must be finite and before "
+                                  "max_clock_s (",
+                                  cfg_.max_clock_s, " s)");
     if (r.prompt_tokens < 1 || r.output_tokens < 1)
         return detail::concat("request ", r.id,
                               " needs a non-empty prompt and "
@@ -456,8 +467,16 @@ Engine::admissionError(const Request& r) const
                               " has an invalid shared prefix (",
                               r.prefix_tokens, " of ", r.prompt_tokens,
                               " prompt tokens, id ", r.prefix_id, ")");
-    if (cache_.pagesFor(r.prompt_tokens + r.output_tokens) +
-            cfg_.sched.reserve_pages >
+    // Token and page counts in 64 bits: a prompt near INT_MAX must not
+    // wrap into a request that seems to fit.
+    const std::int64_t tokens =
+        std::int64_t{r.prompt_tokens} + std::int64_t{r.output_tokens};
+    if (tokens > std::numeric_limits<int>::max())
+        return detail::concat("request ", r.id, " (", r.prompt_tokens, "+",
+                              r.output_tokens,
+                              " tokens) overflows the int token count");
+    const std::int64_t page = cfg_.page_size;
+    if ((tokens + page - 1) / page + cfg_.sched.reserve_pages >
         cache_.totalPages())
         return detail::concat("request ", r.id, " (", r.prompt_tokens, "+",
                               r.output_tokens,

@@ -6,19 +6,25 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <set>
 
+#include "backend/attention_backend.h"
+#include "backend/registry.h"
 #include "common/rng.h"
 #include "core/residual_kernel.h"
+#include "exec/simd/dispatch.h"
 #include "kvcache/kv_cache.h"
 #include "kvcache/paged_cache.h"
 #include "layout/induced_layout.h"
 #include "layout/tile.h"
 #include "quant/int_quant.h"
+#include "scoped_simd_env.h"
 
 namespace bitdec {
 namespace {
 
+using exec::simd::Level;
 using layout::InducedLayout;
 using layout::residualBlockSize;
 using layout::UnitId;
@@ -347,6 +353,282 @@ TEST(PackedCache, LinearPlanGroupRunsArePinned)
                     << "d=" << d << " bits=" << bits;
                 EXPECT_TRUE(on_line(cache.keyLinearPlan()) &&
                             on_line(cache.valueLinearPlan()));
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------ one-pass seal ----
+
+/**
+ * One [rows x d] block of pattern @p kind, each aimed at a corner of
+ * quantizeMatrix's arithmetic: constant token rows (every tensor-wise
+ * group constant) or channel columns (every channel-wise group), signed
+ * zeros, subnormal and +-65504 halves, subnormal-only blocks (scales
+ * that round to zero), ranges far from zero (zero-points outside
+ * [0, qmax]), and inf/NaN, with NaN also first in some groups.
+ */
+Tensor<Half>
+sealInput(int kind, int rows, int d, int group, Rng& rng)
+{
+    Tensor<Half> x({static_cast<std::size_t>(rows),
+                    static_cast<std::size_t>(d)});
+    const auto sub = [&] {
+        const auto m = static_cast<std::uint16_t>(1 + rng.uniformInt(1023));
+        return Half::fromBits(
+            static_cast<std::uint16_t>(m | (rng.uniformInt(2) << 15)));
+    };
+    const std::uint16_t specials[] = {0x7C00, 0xFC00, 0x7E00, 0x7C01,
+                                      0xFE00, 0x7D55};
+    std::vector<float> row_v(static_cast<std::size_t>(rows));
+    std::vector<float> col_v(static_cast<std::size_t>(d));
+    for (float& r : row_v)
+        r = rng.normal();
+    for (float& c : col_v)
+        c = rng.normal();
+    for (int t = 0; t < rows; t++) {
+        for (int c = 0; c < d; c++) {
+            Half h;
+            switch (kind) {
+            case 0: h = Half(rng.normal()); break;
+            case 1: h = Half(row_v[static_cast<std::size_t>(t)]); break;
+            case 2: h = Half(col_v[static_cast<std::size_t>(c)]); break;
+            case 3: {
+                const std::uint32_t r = rng.uniformInt(10);
+                h = r < 9 ? Half::fromBits(r % 2 ? 0x8000 : 0)
+                          : Half(0.01f * rng.normal());
+                break;
+            }
+            case 4: {
+                const std::uint32_t r = rng.uniformInt(4);
+                h = r == 0   ? sub()
+                    : r == 1 ? Half(rng.uniformInt(2) ? 65504.f : -65504.f)
+                             : Half(rng.normal());
+                break;
+            }
+            case 5: h = sub(); break;
+            case 6:
+                h = Half(0.1f * rng.normal() +
+                         (t % 2 ? 1.f : -1.f) *
+                             (c % 3 == 0 ? 1000.f : 12.f));
+                break;
+            default: {
+                const bool first = (t % group == 0 && c % 5 == 0) ||
+                                   (c % group == 0 && t % 7 == 0);
+                h = first || rng.uniformInt(16) == 0
+                        ? Half::fromBits(specials[rng.uniformInt(6)])
+                        : Half(rng.normal());
+                break;
+            }
+            }
+            x.at(static_cast<std::size_t>(t), static_cast<std::size_t>(c)) =
+                h;
+        }
+    }
+    return x;
+}
+
+struct SealCase
+{
+    int bits;
+    quant::Granularity gran;
+    int group;
+    int d;
+    sim::MmaShape mma;
+    int wn;
+};
+
+void
+PrintTo(const SealCase& c, std::ostream* os)
+{
+    *os << quant::granularityCode(c.gran) << "-" << c.bits << " group "
+        << c.group << " d " << c.d << " k"
+        << (c.mma == sim::MmaShape::M16N8K16 ? 16 : 8) << " wn " << c.wn;
+}
+
+class SealSweepP : public ::testing::TestWithParam<SealCase>
+{
+};
+
+TEST_P(SealSweepP, SealedBlocksEqualPackBlockAtEveryLevel)
+{
+    // The cache's one-pass seal at every supported level against the
+    // reference chain (quantizeMatrix + packInduced), block by block over
+    // every input pattern.
+    constexpr int kKinds = 8;
+    const SealCase sc = GetParam();
+    quant::QuantConfig qc;
+    qc.bits = sc.bits;
+    qc.key_granularity = sc.gran;
+    qc.group_size = sc.group;
+    WarpTiling tiling;
+    tiling.mma = sc.mma;
+    tiling.wn = sc.wn;
+    const int nr = residualBlockSize(tiling, sc.bits);
+    const InducedLayout klay(tiling, sc.bits, sc.d, nr);
+    const InducedLayout vlay(tiling, sc.bits, nr, sc.d);
+
+    Rng rng(static_cast<std::uint64_t>(sc.bits * 1000 + sc.d + sc.group));
+    std::vector<kv::PackedBlock> want_k(kKinds), want_v(kKinds);
+    Tensor<Half> k({static_cast<std::size_t>(kKinds * nr),
+                    static_cast<std::size_t>(sc.d)});
+    Tensor<Half> v({k.dim(0), k.dim(1)});
+    const std::size_t block = static_cast<std::size_t>(nr * sc.d);
+    for (int kind = 0; kind < kKinds; kind++) {
+        const Tensor<Half> kb = sealInput(kind, nr, sc.d, sc.group, rng);
+        const Tensor<Half> vb = sealInput(kind, nr, sc.d, sc.group, rng);
+        kv::packBlock(kb, vb, qc, klay, vlay,
+                      want_k[static_cast<std::size_t>(kind)],
+                      want_v[static_cast<std::size_t>(kind)]);
+        std::copy(kb.data(), kb.data() + block,
+                  k.data() + static_cast<std::size_t>(kind) * block);
+        std::copy(vb.data(), vb.data() + block,
+                  v.data() + static_cast<std::size_t>(kind) * block);
+    }
+
+    const auto words = [](const Tensor<Half2>& p) {
+        std::vector<std::uint32_t> w;
+        for (std::size_t i = 0; i < p.numel(); i++)
+            w.push_back(p[i].toWord());
+        return w;
+    };
+    int levels = 0;
+    for (Level l : {Level::Scalar, Level::Avx2, Level::Avx512}) {
+        if (!exec::simd::levelSupported(l))
+            continue;
+        levels++;
+        const ScopedSimdEnv env(exec::simd::toString(l));
+        kv::PackedHeadCache cache(sc.d, qc, tiling);
+        cache.prefill(k, v);
+        ASSERT_EQ(cache.keyBlocks().size(), static_cast<std::size_t>(kKinds));
+        for (std::size_t b = 0; b < static_cast<std::size_t>(kKinds); b++) {
+            const kv::PackedBlock& gk = cache.keyBlocks()[b];
+            const kv::PackedBlock& gv = cache.valueBlocks()[b];
+            EXPECT_EQ(gk.units, want_k[b].units)
+                << exec::simd::toString(l) << " K kind " << b;
+            EXPECT_EQ(gv.units, want_v[b].units)
+                << exec::simd::toString(l) << " V kind " << b;
+            EXPECT_EQ(gk.params.dim(0), want_k[b].params.dim(0));
+            EXPECT_EQ(gk.params.dim(1), want_k[b].params.dim(1));
+            EXPECT_EQ(words(gk.params), words(want_k[b].params))
+                << exec::simd::toString(l) << " K params kind " << b;
+            EXPECT_EQ(words(gv.params), words(want_v[b].params))
+                << exec::simd::toString(l) << " V params kind " << b;
+        }
+    }
+    EXPECT_GE(levels, 1);
+}
+
+std::vector<SealCase>
+sealCases()
+{
+    std::vector<SealCase> cases;
+    for (int bits : {2, 4})
+        for (quant::Granularity g : {quant::Granularity::ChannelWise,
+                                     quant::Granularity::TensorWise})
+            for (int group : {32, 64})
+                for (int d : {64, 128, 256})
+                    for (const auto& [mma, wn] :
+                         {std::pair{sim::MmaShape::M16N8K16, 4},
+                          std::pair{sim::MmaShape::M16N8K8, 2}})
+                        cases.push_back({bits, g, group, d, mma, wn});
+    return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(Grid, SealSweepP, ::testing::ValuesIn(sealCases()));
+
+TEST(PackedCache, PrefillEqualsAppends)
+{
+    // prefill of N tokens leaves exactly the cache N appends leave: the
+    // same blocks, params and residual, and the same fused-packed bytes;
+    // so does a prefill that first tops up a partly filled residual.
+    const backend::AttentionBackend& be =
+        backend::BackendRegistry::instance().resolve("fused-packed");
+    for (int bits : {4, 2}) {
+        for (quant::Granularity g : {quant::Granularity::ChannelWise,
+                                     quant::Granularity::TensorWise}) {
+            quant::QuantConfig qc;
+            qc.bits = bits;
+            qc.key_granularity = g;
+            const int d = 64;
+            kv::PackedHeadCache prefilled(d, qc, WarpTiling{});
+            kv::PackedHeadCache appended(d, qc, WarpTiling{});
+            kv::PackedHeadCache topped(d, qc, WarpTiling{});
+            const int nr = prefilled.residualBlockSize();
+            const int n = 3 * nr + nr / 2 + 3;
+            Rng rng(static_cast<std::uint64_t>(bits) + 90);
+            Tensor<Half> k({static_cast<std::size_t>(n),
+                            static_cast<std::size_t>(d)});
+            Tensor<Half> v({k.dim(0), k.dim(1)});
+            for (std::size_t i = 0; i < k.numel(); i++) {
+                k[i] = Half(rng.normal());
+                v[i] = Half(rng.normal());
+            }
+            prefilled.prefill(k, v);
+            const int head = 5;
+            Tensor<Half> kt({static_cast<std::size_t>(n - head),
+                             static_cast<std::size_t>(d)});
+            Tensor<Half> vt({kt.dim(0), kt.dim(1)});
+            for (int t = 0; t < n; t++) {
+                std::vector<Half> kr(static_cast<std::size_t>(d));
+                std::vector<Half> vr(kr.size());
+                for (int c = 0; c < d; c++) {
+                    const auto at = [&](const Tensor<Half>& x) {
+                        return x.at(static_cast<std::size_t>(t),
+                                    static_cast<std::size_t>(c));
+                    };
+                    kr[static_cast<std::size_t>(c)] = at(k);
+                    vr[static_cast<std::size_t>(c)] = at(v);
+                    if (t >= head) {
+                        kt.at(static_cast<std::size_t>(t - head),
+                              static_cast<std::size_t>(c)) = at(k);
+                        vt.at(static_cast<std::size_t>(t - head),
+                              static_cast<std::size_t>(c)) = at(v);
+                    }
+                }
+                appended.append(kr, vr);
+                if (t < head)
+                    topped.append(kr, vr);
+            }
+            topped.prefill(kt, vt);
+
+            Tensor<Half> q({4, static_cast<std::size_t>(d)});
+            for (std::size_t i = 0; i < q.numel(); i++)
+                q[i] = Half(rng.normal());
+            const auto digest = [&](const kv::PackedHeadCache& c) {
+                backend::DecodeBatch b;
+                b.items.push_back(backend::packedItem(q, c));
+                b.scale = 0.125f;
+                return be.digest(b);
+            };
+            for (const kv::PackedHeadCache* c : {&prefilled, &topped}) {
+                ASSERT_EQ(c->packedTokens(), appended.packedTokens());
+                ASSERT_EQ(c->residualLength(), appended.residualLength());
+                ASSERT_EQ(c->keyBlocks().size(), 3u);
+                const auto same = [](const kv::PackedBlock& x,
+                                     const kv::PackedBlock& y) {
+                    EXPECT_EQ(x.units, y.units);
+                    ASSERT_EQ(x.params.numel(), y.params.numel());
+                    for (std::size_t i = 0; i < x.params.numel(); i++)
+                        EXPECT_EQ(x.params[i].toWord(), y.params[i].toWord());
+                };
+                for (std::size_t b = 0; b < 3; b++) {
+                    same(c->keyBlocks()[b], appended.keyBlocks()[b]);
+                    same(c->valueBlocks()[b], appended.valueBlocks()[b]);
+                }
+                const std::size_t live = static_cast<std::size_t>(
+                    appended.residualLength() * d);
+                EXPECT_TRUE(std::equal(
+                    c->residualKeys().data(), c->residualKeys().data() + live,
+                    appended.residualKeys().data(),
+                    [](Half a, Half b) { return a.bits() == b.bits(); }));
+                EXPECT_TRUE(std::equal(
+                    c->residualValues().data(),
+                    c->residualValues().data() + live,
+                    appended.residualValues().data(),
+                    [](Half a, Half b) { return a.bits() == b.bits(); }));
+                EXPECT_EQ(digest(*c), digest(appended))
+                    << "bits=" << bits << " " << quant::granularityCode(g);
             }
         }
     }

@@ -38,6 +38,8 @@
 #include "serving/metrics.h"
 #include "serving/request.h"
 
+#include "invalid_requests.h"
+
 namespace bitdec {
 namespace {
 
@@ -1054,6 +1056,42 @@ TEST(NetLoopback, TypedErrorFramesForBadSubmitsAndCancels)
 
     const ServingMetrics m = lb.stop();
     EXPECT_EQ(m.num_requests, 1); // only request 7 ran
+}
+
+TEST(NetLoopback, BrokenTimesAndTokenCountsAreInvalidAndServingGoesOn)
+{
+    // Each SUBMIT below once aborted the server (a clock past
+    // max_clock_s, a non-finite next-event time, a token sum that wrapped
+    // int and then exhausted the pool). Each now gets INVALID_REQUEST, and
+    // a valid request sent after it on the same connection finishes.
+    LoopbackServer lb(netTinyConfig());
+    net::NetClient nc;
+    ASSERT_TRUE(nc.connect("127.0.0.1", lb.port()));
+    for (const InvalidRequest& bad : invalidRequests()) {
+        ASSERT_TRUE(nc.submit(toSubmit(bad.request)));
+        net::SubmitMsg good = toSubmit(workload(100 + bad.request.id, 16, 4));
+        good.arrival_s = -1; // now
+        ASSERT_TRUE(nc.submit(good));
+        bool refused = false;
+        bool finished = false;
+        net::NetEvent ev;
+        while (!refused || !finished) {
+            ASSERT_TRUE(nc.readEvent(ev));
+            if (ev.type == net::FrameType::Error) {
+                EXPECT_EQ(ev.request_id, bad.request.id);
+                EXPECT_EQ(ev.error.code, net::ErrorCode::InvalidRequest);
+                EXPECT_NE(ev.error.message.find(bad.names), std::string::npos)
+                    << ev.error.message;
+                refused = true;
+            } else if (ev.type == net::FrameType::Done) {
+                EXPECT_EQ(ev.request_id, good.id);
+                EXPECT_NE(ev.done.finished, 0);
+                finished = true;
+            }
+        }
+    }
+    EXPECT_EQ(lb.stop().num_requests,
+              static_cast<int>(invalidRequests().size()));
 }
 
 } // namespace

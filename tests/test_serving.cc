@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "gpusim/arch.h"
@@ -19,6 +21,7 @@
 #include "serving/request.h"
 #include "serving/scheduler.h"
 #include "serving/trace.h"
+#include "invalid_requests.h"
 
 namespace bitdec {
 namespace {
@@ -629,6 +632,37 @@ tinyEngineConfig(int num_pages)
     cfg.sched.max_batch = 8;
     cfg.sched.prefill_chunk_tokens = 16;
     return cfg;
+}
+
+TEST(Engine, AdmissionRefusesBrokenTimesAndTokenCounts)
+{
+    // Non-finite times, times at or past max_clock_s and token counts
+    // whose sum leaves int are refused; before, each one passed admission
+    // and aborted the tick or the next-event search.
+    const EngineConfig cfg = tinyEngineConfig(64);
+    Engine engine(sim::archA100(), model::llama2_7b(), cfg);
+    for (const InvalidRequest& bad : invalidRequests()) {
+        const std::string err = engine.admissionError(bad.request);
+        EXPECT_NE(err.find(bad.names), std::string::npos)
+            << "request " << bad.request.id << ": '" << err << "'";
+    }
+    Request r;
+    r.id = 7;
+    r.prompt_tokens = 16;
+    r.output_tokens = 16;
+    EXPECT_EQ(engine.admissionError(r), "");
+    for (double Request::*t :
+         {&Request::arrival_s, &Request::idle_wake_s, &Request::deadline_s}) {
+        Request late = r;
+        late.*t = cfg.max_clock_s;
+        EXPECT_NE(engine.admissionError(late).find("max_clock_s"),
+                  std::string::npos);
+    }
+    // A sum inside int whose page count would wrap is still too big.
+    r.prompt_tokens = std::numeric_limits<int>::max() - 2;
+    r.output_tokens = 1;
+    EXPECT_NE(engine.admissionError(r).find("can never fit"),
+              std::string::npos);
 }
 
 TEST(Engine, SmokeTraceCompletesEveryRequest)

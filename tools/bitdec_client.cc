@@ -8,7 +8,9 @@
  * folds them into the per-request output digest. One client can read
  * deliberately slowly (--slow-client/--slow-ms) to exercise the
  * server's backpressure; one request can be canceled mid-stream
- * (--cancel-after-tokens). With --verify-inprocess the same trace runs
+ * (--cancel-after-tokens: client 0's first request, given a 1024-token
+ * output budget so it outlasts the pump rounds before the server reads
+ * the CANCEL). With --verify-inprocess the same trace runs
  * through an in-process ServingClient built from the HELLO frame's
  * engine shape, and every request's output_hash AND attn_hash must
  * match the wire run byte for byte — the acceptance proof that the
@@ -22,8 +24,8 @@
  *   bitdec_client --port=9178 --clients=8 --requests=24 \
  *       --slow-client=0 --slow-ms=2 --verify-inprocess
  *
- * Exit codes: 0 = all checks passed, 1 = digest mismatch, lost frames
- * or an unexpected protocol error.
+ * Exit codes: 0 = all checks passed, 1 = digest mismatch, lost frames,
+ * an unexpected protocol error or a requested cancel that did not land.
  */
 #include <chrono>
 #include <cstdio>
@@ -272,7 +274,14 @@ main(int argc, char** argv)
     const ServingOptions opts = ServingOptions::parse(argc, argv);
     const ClientArgs a = parseArgs(argc, argv);
 
-    const std::vector<Request> trace = clientTrace(a);
+    std::vector<Request> trace = clientTrace(a);
+    // The cancel target is client 0's first request. Its drawn budget
+    // (8-48 tokens) can finish in the round after its first tokens,
+    // before the server reads the CANCEL, so it gets a long one.
+    const int cancel_id =
+        a.cancel_after_tokens > 0 && !trace.empty() ? trace.front().id : -1;
+    if (cancel_id >= 0)
+        trace.front().output_tokens = 1024;
     std::vector<std::vector<Request>> slices(
         static_cast<std::size_t>(a.clients));
     for (std::size_t i = 0; i < trace.size(); i++)
@@ -317,6 +326,13 @@ main(int argc, char** argv)
     printWall("TTFT", wall.ttft);
     printWall("latency", wall.latency);
     printWall("token gap", wall.gap);
+    if (cancel_id >= 0 && results[cancel_id].finished) {
+        std::fprintf(stderr,
+                     "bitdec_client: request %d finished; the cancel after "
+                     "%d tokens did not land\n",
+                     cancel_id, a.cancel_after_tokens);
+        return 1;
+    }
     if (stream_bad > 0) {
         std::fprintf(stderr,
                      "bitdec_client: %d request(s) with lost or "
