@@ -48,90 +48,125 @@ sampleCount(double total, double mean)
     return mean > 0 ? total / mean : 0;
 }
 
+/** Fresh runtime state: a submit carries only the workload fields. */
+serving::Request
+sanitized(const serving::Request& r)
+{
+    serving::Request c;
+    c.id = r.id;
+    c.arrival_s = r.arrival_s;
+    c.prompt_tokens = r.prompt_tokens;
+    c.output_tokens = r.output_tokens;
+    c.prefix_id = r.prefix_id;
+    c.prefix_tokens = r.prefix_tokens;
+    c.priority = r.priority;
+    c.idle_after_tokens = r.idle_after_tokens;
+    c.idle_wake_s = r.idle_wake_s;
+    c.deadline_s = r.deadline_s;
+    return c;
+}
+
+/** The one message a reused request id gets (the wire maps it to
+ *  DUPLICATE_ID). */
+std::string
+duplicateIdError(int id)
+{
+    return detail::concat("duplicate request id ", id, " submitted");
+}
+
 } // namespace
 
 Cluster::Cluster(const sim::GpuArch& arch, const model::ModelConfig& model,
                  const ClusterConfig& cfg)
-    : cfg_(cfg),
-      router_([&cfg] {
+    : router_([&cfg] {
           RouterConfig rc = cfg.router;
           rc.num_shards = cfg.num_shards; // single source of truth
           return rc;
       }())
 {
-    BITDEC_ASSERT(cfg_.num_shards >= 1, "Cluster needs >= 1 shard, got ",
-                  cfg_.num_shards);
-    cfg_.router.num_shards = cfg_.num_shards;
-    shards_.reserve(static_cast<std::size_t>(cfg_.num_shards));
-    for (int s = 0; s < cfg_.num_shards; s++)
-        shards_.push_back(std::make_unique<serving::EngineClient>(
-            arch, model, cfg_.engine));
-    last_.per_shard.resize(static_cast<std::size_t>(cfg_.num_shards));
+    shards_.reserve(static_cast<std::size_t>(cfg.num_shards));
+    for (int s = 0; s < cfg.num_shards; s++)
+        shards_.push_back(
+            std::make_unique<serving::Engine>(arch, model, cfg.engine));
+}
+
+const Cluster::Placement&
+Cluster::place(const serving::Request& r)
+{
+    const auto [it, fresh] = index_.try_emplace(r.id);
+    if (!fresh)
+        BITDEC_FATAL(duplicateIdError(r.id));
+    it->second = {router_.route(r), store_.size()};
+    store_.push_back(sanitized(r));
+    return it->second;
 }
 
 int
 Cluster::submit(const serving::Request& r)
 {
-    BITDEC_ASSERT(shard_of_.find(r.id) == shard_of_.end(),
-                  "duplicate request id ", r.id, " submitted to cluster");
-    const int shard = router_.route(r);
-    shard_of_[r.id] = shard;
-    since_drain_.push_back(r.id);
-    return shards_[static_cast<std::size_t>(shard)]->submit(r);
+    BITDEC_ASSERT(!streaming_, "batch submit while a stream is open");
+    place(r);
+    return r.id;
 }
 
 const serving::Request*
 Cluster::poll(int id) const
 {
-    const auto it = shard_of_.find(id);
-    if (it == shard_of_.end())
-        return nullptr;
-    return shards_[static_cast<std::size_t>(it->second)]->poll(id);
+    const auto it = index_.find(id);
+    return it == index_.end() ? nullptr : &store_[it->second.slot];
 }
 
 bool
 Cluster::cancel(int id)
 {
-    const auto it = shard_of_.find(id);
-    if (it == shard_of_.end())
+    BITDEC_ASSERT(!streaming_, "batch cancel while a stream is open — "
+                               "use streamCancel");
+    const auto it = index_.find(id);
+    if (it == index_.end())
         return false;
-    return shards_[static_cast<std::size_t>(it->second)]->cancel(id);
+    serving::Request& r = store_[it->second.slot];
+    if (r.state != serving::RequestState::Queued)
+        return false; // already ran (or already canceled)
+    r.state = serving::RequestState::Canceled;
+    r.cancel_cause = serving::CancelCause::Client;
+    canceled_++;
+    return true;
 }
 
 int
 Cluster::shardOf(int id) const
 {
-    const auto it = shard_of_.find(id);
-    return it == shard_of_.end() ? -1 : it->second;
+    const auto it = index_.find(id);
+    return it == index_.end() ? -1 : it->second.shard;
 }
 
 serving::ServingMetrics
 Cluster::drain()
 {
-    BITDEC_ASSERT(!streaming_, "drain while a stream is open");
-    const auto n = shards_.size();
-
-    // Run every shard's batch. The virtual clock is shared: each shard
-    // simulates the same arrival timeline independently and shards never
-    // interact mid-run, so sequential draining reproduces exactly what N
-    // concurrent replicas would do.
-    std::vector<serving::ServingMetrics> per_shard(n);
-    for (std::size_t s = 0; s < n; s++)
-        per_shard[s] = shards_[s]->drain();
-
-    last_ = aggregateRound(per_shard, since_drain_);
-    since_drain_.clear();
-    return last_.aggregate;
+    // The batch face is the stream run of the pending set: streamBegin
+    // adds every pending request, and the run ticks to idle exactly as a
+    // pumped stream of the same trace would.
+    streamBegin();
+    while (streamTick()) {
+    }
+    return streamEnd();
 }
 
 ClusterMetrics
-Cluster::aggregateRound(const std::vector<serving::ServingMetrics>& per_shard,
-                        const std::vector<int>& ids) const
+Cluster::aggregateRound(
+    const std::vector<serving::ServingMetrics>& per_shard) const
 {
     const auto n = shards_.size();
     ClusterMetrics out;
     out.per_shard = per_shard;
     out.router = router_.stats();
+    if (n == 1) {
+        // One engine ran the whole round, requests canceled mid-stream
+        // included (the walk below counts those as never run): its
+        // metrics ARE the cluster metrics, bit for bit.
+        out.aggregate = per_shard.front();
+        return out;
+    }
 
     // Per-shard span of this round on the shared clock: the engine's
     // makespan is (final clock - first arrival), so a shard's absolute
@@ -140,16 +175,15 @@ Cluster::aggregateRound(const std::vector<serving::ServingMetrics>& per_shard,
         n, std::numeric_limits<double>::infinity());
     std::vector<bool> active(n, false);
     std::vector<const serving::Request*> drained;
-    drained.reserve(ids.size());
-    for (const int id : ids) {
-        const serving::Request* r = poll(id);
-        BITDEC_ASSERT(r != nullptr, "drained id ", id, " unknown to shard");
-        if (r->cancel_cause == serving::CancelCause::Client)
+    drained.reserve(store_.size() - round_);
+    for (std::size_t slot = round_; slot < store_.size(); slot++) {
+        const serving::Request& r = store_[slot];
+        if (r.cancel_cause == serving::CancelCause::Client)
             continue; // never reached any engine
-        const auto s = static_cast<std::size_t>(shard_of_.at(id));
+        const auto s = static_cast<std::size_t>(index_.at(r.id).shard);
         active[s] = true;
-        first_arrival[s] = std::min(first_arrival[s], r->arrival_s);
-        drained.push_back(r);
+        first_arrival[s] = std::min(first_arrival[s], r.arrival_s);
+        drained.push_back(&r);
     }
 
     int num_active = 0;
@@ -165,9 +199,7 @@ Cluster::aggregateRound(const std::vector<serving::ServingMetrics>& per_shard,
         return out;
     }
     if (num_active == 1) {
-        // One shard saw the whole batch: its metrics ARE the cluster
-        // metrics, bit for bit. This is what makes Cluster(shards=1)
-        // indistinguishable from a bare Engine.
+        // One shard saw the whole round: its metrics are the cluster's.
         out.aggregate = per_shard[static_cast<std::size_t>(only_active)];
         return out;
     }
@@ -295,12 +327,11 @@ Cluster::aggregateRound(const std::vector<serving::ServingMetrics>& per_shard,
 std::string
 Cluster::admissionError(const serving::Request& r) const
 {
-    if (shard_of_.find(r.id) != shard_of_.end())
-        return detail::concat("duplicate request id ", r.id,
-                              " submitted to cluster");
+    if (index_.find(r.id) != index_.end())
+        return duplicateIdError(r.id);
     // Shards are identical replicas, so any shard's engine answers for
-    // the whole cluster (the id is known to none of them — see above).
-    return shards_.front()->admissionError(r);
+    // the whole cluster.
+    return shards_.front()->admissionError(sanitized(r));
 }
 
 void
@@ -313,28 +344,36 @@ Cluster::streamBegin(serving::TokenSink sink)
     // of one request always arrive in index order from its one shard.
     for (const auto& shard : shards_)
         shard->streamBegin(sink);
+    // Batch submissions since the last round join the stream; the ones
+    // canceled before it never reach an engine.
+    for (std::size_t slot = round_; slot < store_.size(); slot++) {
+        serving::Request& r = store_[slot];
+        if (r.state != serving::RequestState::Canceled)
+            shards_[static_cast<std::size_t>(index_.at(r.id).shard)]
+                ->streamAdd(&r);
+    }
 }
 
 int
 Cluster::streamSubmit(const serving::Request& r)
 {
     BITDEC_ASSERT(streaming_, "streamSubmit without an open stream");
-    BITDEC_ASSERT(shard_of_.find(r.id) == shard_of_.end(),
-                  "duplicate request id ", r.id, " submitted to cluster");
-    const int shard = router_.route(r);
-    shard_of_[r.id] = shard;
-    since_drain_.push_back(r.id);
-    return shards_[static_cast<std::size_t>(shard)]->streamSubmit(r);
+    const Placement& p = place(r);
+    shards_[static_cast<std::size_t>(p.shard)]->streamAdd(&store_[p.slot]);
+    return r.id;
 }
 
 bool
 Cluster::streamCancel(int id)
 {
     BITDEC_ASSERT(streaming_, "streamCancel without an open stream");
-    const auto it = shard_of_.find(id);
-    if (it == shard_of_.end())
+    const auto it = index_.find(id);
+    if (it == index_.end() ||
+        !shards_[static_cast<std::size_t>(it->second.shard)]->streamCancel(
+            id))
         return false;
-    return shards_[static_cast<std::size_t>(it->second)]->streamCancel(id);
+    canceled_++;
+    return true;
 }
 
 bool
@@ -394,7 +433,7 @@ Cluster::streamSnapshot() const
     std::vector<serving::ServingMetrics> per_shard(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); s++)
         per_shard[s] = shards_[s]->streamSnapshot();
-    return aggregateRound(per_shard, since_drain_).aggregate;
+    return aggregateRound(per_shard).aggregate;
 }
 
 serving::ServingMetrics
@@ -404,8 +443,16 @@ Cluster::streamEnd()
     std::vector<serving::ServingMetrics> per_shard(shards_.size());
     for (std::size_t s = 0; s < shards_.size(); s++)
         per_shard[s] = shards_[s]->streamEnd();
-    last_ = aggregateRound(per_shard, since_drain_);
-    since_drain_.clear();
+    last_ = aggregateRound(per_shard);
+    for (std::size_t slot = round_; slot < store_.size(); slot++) {
+        const serving::Request& r = store_[slot];
+        if (r.state == serving::RequestState::Finished)
+            finished_++;
+        else if (r.state == serving::RequestState::Canceled &&
+                 r.cancel_cause != serving::CancelCause::Client)
+            canceled_++; // client cancels were counted when they landed
+    }
+    round_ = store_.size();
     streaming_ = false;
     return last_.aggregate;
 }
@@ -413,17 +460,17 @@ Cluster::streamEnd()
 serving::ClientStats
 Cluster::stats() const
 {
-    serving::ClientStats total;
-    total.shards = static_cast<int>(shards_.size());
-    for (const auto& shard : shards_) {
-        const serving::ClientStats s = shard->stats();
-        total.submitted += s.submitted;
-        total.pending += s.pending;
-        total.finished += s.finished;
-        total.canceled += s.canceled;
-        total.total_pool_pages += s.total_pool_pages;
-    }
-    return total;
+    serving::ClientStats s;
+    s.submitted = static_cast<int>(store_.size());
+    for (std::size_t slot = round_; slot < store_.size(); slot++)
+        if (!store_[slot].done())
+            s.pending++;
+    s.finished = finished_;
+    s.canceled = canceled_;
+    s.shards = static_cast<int>(shards_.size());
+    for (const auto& shard : shards_)
+        s.total_pool_pages += shard->numPages();
+    return s;
 }
 
 } // namespace bitdec::cluster
@@ -434,10 +481,6 @@ std::unique_ptr<ServingClient>
 makeServingClient(const sim::GpuArch& arch, const model::ModelConfig& model,
                   const EngineConfig& cfg, int shards)
 {
-    BITDEC_ASSERT(shards >= 1, "makeServingClient needs >= 1 shard, got ",
-                  shards);
-    if (shards == 1)
-        return std::make_unique<EngineClient>(arch, model, cfg);
     cluster::ClusterConfig cc;
     cc.num_shards = shards;
     cc.engine = cfg;

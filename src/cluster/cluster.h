@@ -1,21 +1,24 @@
 /**
  * @file
  * Sharded serving cluster: N full Engine replicas on one shared virtual
- * clock behind the narrow ServingClient seam.
+ * clock behind the narrow ServingClient seam. It is the seam's only
+ * implementation: one engine is served as a one-shard Cluster.
  *
  * Each shard is a complete Engine (own page pool, scheduler, tiers,
- * fault injector) wrapped in an EngineClient — the simulator's stand-in
- * for one GPU replica. The Router places every submitted request on a
- * shard (sticky prefix-aware by default, see router.h); drain() runs
- * each shard's batch to completion and aggregates the per-shard metrics
- * into one cluster-wide summary.
+ * fault injector), the simulator's stand-in for one GPU replica. The
+ * Cluster owns every submitted request in one store, so poll() answers
+ * for any id the client has seen. The Router places every submitted
+ * request on a shard (sticky prefix-aware by default, see router.h);
+ * drain() is the stream run of the pending set (every shard streams,
+ * ticks until idle) and aggregates the per-shard metrics into one
+ * cluster-wide summary.
  *
  * Shared virtual clock: every shard's run starts from the same t=0
  * arrival timeline and shards never interact mid-run (requests are
- * placed before any shard executes), so draining the shard simulations
- * sequentially is observationally identical to running them
- * concurrently — the cluster makespan is the max over shards of each
- * shard's absolute finish time, exactly as if N devices ran in
+ * placed at submit time, before any shard executes), so ticking the
+ * shard furthest behind is observationally identical to running the
+ * shards concurrently — the cluster makespan is the max over shards of
+ * each shard's absolute finish time, exactly as if N devices ran in
  * parallel.
  *
  * Determinism and shard-count invariance: token content derives from
@@ -29,6 +32,7 @@
 #ifndef BITDEC_CLUSTER_CLUSTER_H
 #define BITDEC_CLUSTER_CLUSTER_H
 
+#include <deque>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -67,19 +71,20 @@ class Cluster final : public serving::ServingClient
             const ClusterConfig& cfg);
 
     /** Routes the request to its shard (sticky prefix placement) and
-     *  submits it there. */
+     *  stores it for the next drain. */
     int submit(const serving::Request& r) override;
     const serving::Request* poll(int id) const override;
     bool cancel(int id) override;
 
     /**
-     * Drains every shard that holds pending requests and aggregates:
-     * request-level distributions (TTFT, TPOT, latency, per-priority
-     * TTFT) and the outputs digest are re-folded from the individual
-     * finished requests, so they are exact cluster-wide; counters are
-     * summed; the step-weighted rates (avg decode batch, pool
-     * utilization) and the stall percentiles are merged approximately
-     * (makespan-weighted means, max for tails). With one shard the
+     * Streams every pending request to completion (streamBegin, tick
+     * until idle, streamEnd) and aggregates: request-level distributions
+     * (TTFT, TPOT, latency, per-priority TTFT) and the outputs digest
+     * are re-folded from the individual finished requests, so they are
+     * exact cluster-wide; counters are summed; the step-weighted rates
+     * (avg decode batch, pool utilization) and the stall percentiles are
+     * merged approximately (makespan-weighted means, max for tails).
+     * With one shard, or when only one shard ran anything, the
      * aggregate is that shard's metrics verbatim — byte-identical to a
      * bare Engine run. The full breakdown is kept in clusterMetrics().
      */
@@ -109,21 +114,35 @@ class Cluster final : public serving::ServingClient
     /** The shard a submitted request was placed on; -1 when unknown. */
     int shardOf(int id) const;
 
-    int numShards() const { return static_cast<int>(shards_.size()); }
-
   private:
-    /** Folds one round's per-shard metrics + request records into a
-     *  cluster-wide ClusterMetrics (the drain() aggregation). */
-    ClusterMetrics
-    aggregateRound(const std::vector<serving::ServingMetrics>& per_shard,
-                   const std::vector<int>& ids) const;
+    /** Where a submitted request lives. */
+    struct Placement
+    {
+        int shard = 0;
+        std::size_t slot = 0; //!< index into store_
+    };
 
-    ClusterConfig cfg_;
+    /** Routes and stores a fresh copy of @p r (fatal on a reused id). */
+    const Placement& place(const serving::Request& r);
+
+    /** Folds one round's per-shard metrics + the round's request records
+     *  into a cluster-wide ClusterMetrics (the drain() aggregation). */
+    ClusterMetrics
+    aggregateRound(const std::vector<serving::ServingMetrics>& per_shard) const;
+
     Router router_;
-    std::vector<std::unique_ptr<serving::EngineClient>> shards_;
-    std::unordered_map<int, int> shard_of_; //!< request id -> shard
-    std::vector<int> since_drain_; //!< ids submitted since the last drain
+    std::vector<std::unique_ptr<serving::Engine>> shards_;
+    //! Every request ever submitted, in submission order. A deque never
+    //! relocates elements on push_back, so poll() pointers and the
+    //! engines' stream pointers stay valid for the client's lifetime.
+    std::deque<serving::Request> store_;
+    std::unordered_map<int, Placement> index_; //!< request id -> placement
+    //! First store_ slot of the current round: the requests submitted
+    //! since the last drain or streamEnd.
+    std::size_t round_ = 0;
     bool streaming_ = false;
+    int finished_ = 0;
+    int canceled_ = 0;
     ClusterMetrics last_;
 };
 

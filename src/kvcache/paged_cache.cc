@@ -206,16 +206,6 @@ PagedHeadCache::prefixPages(std::uint64_t key) const
                                  : static_cast<int>(it->second.pages.size());
 }
 
-void
-PagedHeadCache::dropPrefix(std::uint64_t key)
-{
-    const auto it = prefixes_.find(key);
-    BITDEC_ASSERT(it != prefixes_.end(), "unknown prefix key ", key);
-    for (int p : it->second.pages)
-        allocator_.release(p);
-    prefixes_.erase(it);
-}
-
 int
 PagedHeadCache::releaseUnusedPrefixes()
 {

@@ -133,9 +133,6 @@ class PagedHeadCache
     /** Pages a published prefix pins; 0 when @p key is unknown. */
     int prefixPages(std::uint64_t key) const;
 
-    /** Unpublishes @p key, dropping the index's page references. */
-    void dropPrefix(std::uint64_t key);
-
     /**
      * Unpublishes every prefix no live sequence maps anymore (all page
      * refcounts == 1, i.e. only the index pins them). Called by engines

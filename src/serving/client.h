@@ -9,24 +9,24 @@
  * (drain) and reports queue/pool counters (stats). It deliberately
  * exposes none of the engine's internals — no scheduler, no cache, no
  * clock — so the same driver code runs against one Engine or a sharded
- * Cluster (src/cluster/) unchanged, and shard-count invariance of the
- * run digests is testable the same way thread-count invariance is.
+ * cluster unchanged, and shard-count invariance of the run digests is
+ * testable the same way thread-count invariance is. Its one
+ * implementation is cluster::Cluster (src/cluster/); one engine is a
+ * one-shard Cluster.
  *
  * Execution model: the engine's clock is virtual, so a drain is a batch
- * simulation, not a live server — submit enqueues a copy of the
- * request, drain runs the whole submitted set to completion and returns
- * the run's ServingMetrics, and poll reads back the final per-request
- * state (timestamps, hashes, cancel cause). Submissions compose across
- * drains: each drain covers the requests submitted since the previous
- * one.
+ * simulation, not a live server — submit stores a copy of the request,
+ * drain streams the whole submitted set to completion (streamBegin,
+ * tick until idle, streamEnd) and returns the run's ServingMetrics, and
+ * poll reads back the final per-request state (timestamps, hashes,
+ * cancel cause). Submissions compose across drains: each drain covers
+ * the requests submitted since the previous one.
  */
 #ifndef BITDEC_SERVING_CLIENT_H
 #define BITDEC_SERVING_CLIENT_H
 
-#include <deque>
 #include <memory>
-#include <unordered_map>
-#include <vector>
+#include <string>
 
 #include "gpusim/arch.h"
 #include "model/model_config.h"
@@ -47,10 +47,8 @@ struct ClientStats
     int total_pool_pages = 0; //!< hot KV pages across every shard
 };
 
-/**
- * The serving seam. Both the single-engine client (EngineClient) and
- * the sharded Cluster implement exactly this surface.
- */
+/** The serving seam, implemented by cluster::Cluster at any shard
+ *  count. */
 class ServingClient
 {
   public:
@@ -110,7 +108,8 @@ class ServingClient
 
     /**
      * Opens a stream. @p sink (may be empty) observes every generated
-     * token as a TokenEvent in deterministic batch order.
+     * token as a TokenEvent in deterministic batch order. Requests
+     * submitted since the last drain join the stream.
      */
     virtual void streamBegin(TokenSink sink = {}) = 0;
 
@@ -153,46 +152,10 @@ class ServingClient
     virtual ServingMetrics streamEnd() = 0;
 };
 
-/** ServingClient over one Engine replica. */
-class EngineClient final : public ServingClient
-{
-  public:
-    EngineClient(const sim::GpuArch& arch, const model::ModelConfig& model,
-                 const EngineConfig& cfg);
-
-    int submit(const Request& r) override;
-    const Request* poll(int id) const override;
-    bool cancel(int id) override;
-    ServingMetrics drain() override;
-    ClientStats stats() const override;
-
-    std::string admissionError(const Request& r) const override;
-    void streamBegin(TokenSink sink = {}) override;
-    int streamSubmit(const Request& r) override;
-    bool streamCancel(int id) override;
-    bool streamTick() override;
-    bool streamIdle() const override;
-    double streamClock() const override;
-    ServingMetrics streamSnapshot() const override;
-    ServingMetrics streamEnd() override;
-
-  private:
-    Engine engine_;
-    //! All requests ever submitted; deque keeps poll() pointers stable.
-    std::deque<Request> store_;
-    std::unordered_map<int, std::size_t> index_; //!< id -> store_ slot
-    std::vector<std::size_t> pending_;           //!< slots awaiting drain
-    std::vector<std::size_t> stream_slots_;      //!< slots in the open stream
-    bool streaming_ = false;
-    int finished_ = 0;
-    int canceled_ = 0;
-};
-
 /**
- * Factory for the common driver pattern: one shard returns a plain
- * EngineClient, more returns a Cluster (src/cluster/) of @p shards full
- * Engine replicas, each configured with @p cfg, fronted by the default
- * sticky prefix-aware router.
+ * Factory for the common driver pattern: a Cluster (src/cluster/) of
+ * @p shards full Engine replicas (one included), each configured with
+ * @p cfg, fronted by the default sticky prefix-aware router.
  */
 std::unique_ptr<ServingClient>
 makeServingClient(const sim::GpuArch& arch, const model::ModelConfig& model,

@@ -242,9 +242,6 @@ class Engine
     /** Read-only view of the paged KV pool (prefix index, refcounts). */
     const kv::PagedHeadCache& cache() const { return cache_; }
 
-    /** Read-only view of the tiered pool (occupancy, transfer stats). */
-    const kv::TieredPagePool& tieredPool() const { return pool_; }
-
     /**
      * Pool pages a device budget affords: HBM minus weights, activations
      * and allocator overhead, divided by the system's per-page KV bytes

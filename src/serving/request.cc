@@ -40,19 +40,6 @@ toString(CancelCause cause)
     return "unknown";
 }
 
-int
-Request::cachedTokens() const
-{
-    switch (state) {
-      case RequestState::Prefill:
-        return prefilled;
-      case RequestState::Decode:
-        return prefillTarget();
-      default:
-        return 0;
-    }
-}
-
 std::uint64_t
 streamSeed(std::uint64_t stream_id, int token_index)
 {

@@ -135,9 +135,6 @@ struct Request
      */
     int prefillTarget() const { return prompt_tokens + generated; }
 
-    /** Tokens this request holds in the cache right now. */
-    int cachedTokens() const;
-
     /** True once the request needs no further engine work. */
     bool done() const
     {

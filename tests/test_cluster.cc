@@ -168,37 +168,33 @@ TEST(Router, LeastLoadedPolicyIgnoresPrefixes)
 
 TEST(Cluster, OneShardMatchesBareEngineByteForByte)
 {
-    // The mock-client replay: the same short trace through a bare
-    // EngineClient and a Cluster with a single shard. The cluster's
-    // aggregate must be that shard's metrics verbatim — every
-    // serialized field and every per-request digest identical.
-    const auto trace = serving::smokeTrace();
+    // The same short trace through a bare Engine::run and a Cluster
+    // with a single shard. The cluster's aggregate must be the engine's
+    // metrics verbatim — every serialized field and every per-request
+    // digest identical.
+    std::vector<Request> trace = serving::smokeTrace();
 
-    serving::EngineClient engine(sim::archA100(), model::llama2_7b(),
-                                 clusterTinyConfig(64));
     ClusterConfig cc;
     cc.num_shards = 1;
     cc.engine = clusterTinyConfig(64);
     Cluster one(sim::archA100(), model::llama2_7b(), cc);
-
-    for (const Request& r : trace) {
-        engine.submit(r);
+    for (const Request& r : trace)
         one.submit(r);
-    }
-    const ServingMetrics me = engine.drain();
     const ServingMetrics mc = one.drain();
+
+    serving::Engine engine(sim::archA100(), model::llama2_7b(),
+                           clusterTinyConfig(64));
+    const ServingMetrics me = engine.run(trace);
 
     EXPECT_EQ(me.outputs_digest, mc.outputs_digest);
     EXPECT_EQ(me.toJson(), mc.toJson()); // byte-for-byte, all fields
-    for (const Request& q : trace) {
-        const Request* a = engine.poll(q.id);
-        const Request* b = one.poll(q.id);
-        ASSERT_NE(a, nullptr);
+    for (const Request& a : trace) {
+        const Request* b = one.poll(a.id);
         ASSERT_NE(b, nullptr);
-        EXPECT_EQ(a->output_hash, b->output_hash);
-        ASSERT_NE(a->attn_hash, 0u);
-        EXPECT_EQ(a->attn_hash, b->attn_hash);
-        EXPECT_DOUBLE_EQ(a->finish_s, b->finish_s);
+        EXPECT_EQ(a.output_hash, b->output_hash);
+        ASSERT_NE(a.attn_hash, 0u);
+        EXPECT_EQ(a.attn_hash, b->attn_hash);
+        EXPECT_DOUBLE_EQ(a.finish_s, b->finish_s);
     }
 }
 
@@ -300,39 +296,51 @@ TEST(Cluster, StickyRoutingKeepsFamiliesOnOneShard)
 
 TEST(Cluster, ClientCancelExcludesRequestFromDrainAndDigest)
 {
+    // Canceled before the drain, requests 0 (the earliest arrival) and 2
+    // never reach an engine: the run is the one that never saw them, so
+    // its clock starts at request 1's arrival.
     const auto trace = serving::smokeTrace();
+    const auto dropped = [](const Request& r) {
+        return r.id == 0 || r.id == 2;
+    };
+    for (const int shards : {1, 2}) {
+        SCOPED_TRACE(shards);
+        auto ref = serving::makeServingClient(
+            sim::archA100(), model::llama2_7b(), clusterTinyConfig(64),
+            shards);
+        for (const Request& r : trace)
+            if (!dropped(r))
+                ref->submit(r);
+        const ServingMetrics mr = ref->drain();
 
-    // Reference run without request 2.
-    auto ref = serving::makeServingClient(sim::archA100(),
-                                          model::llama2_7b(),
-                                          clusterTinyConfig(64), 2);
-    for (const Request& r : trace)
-        if (r.id != 2)
-            ref->submit(r);
-    const ServingMetrics mr = ref->drain();
+        auto cl = serving::makeServingClient(
+            sim::archA100(), model::llama2_7b(), clusterTinyConfig(64),
+            shards);
+        for (const Request& r : trace)
+            cl->submit(r);
+        EXPECT_TRUE(cl->cancel(0));
+        EXPECT_TRUE(cl->cancel(2));
+        EXPECT_FALSE(cl->cancel(2));  // already canceled
+        EXPECT_FALSE(cl->cancel(99)); // unknown id
+        const Request* canceled = cl->poll(2);
+        ASSERT_NE(canceled, nullptr);
+        EXPECT_EQ(canceled->state, RequestState::Canceled);
+        EXPECT_EQ(canceled->cancel_cause, serving::CancelCause::Client);
 
-    auto cl = serving::makeServingClient(sim::archA100(), model::llama2_7b(),
-                                         clusterTinyConfig(64), 2);
-    for (const Request& r : trace)
-        cl->submit(r);
-    EXPECT_TRUE(cl->cancel(2));
-    EXPECT_FALSE(cl->cancel(2));  // already canceled
-    EXPECT_FALSE(cl->cancel(99)); // unknown id
-    const Request* canceled = cl->poll(2);
-    ASSERT_NE(canceled, nullptr);
-    EXPECT_EQ(canceled->state, RequestState::Canceled);
-    EXPECT_EQ(canceled->cancel_cause, serving::CancelCause::Client);
+        const ServingMetrics m = cl->drain();
+        EXPECT_EQ(m.num_requests, static_cast<int>(trace.size()) - 2);
+        EXPECT_EQ(m.outputs_digest, mr.outputs_digest);
+        if (shards == 1) {
+            EXPECT_EQ(m.toJson(), mr.toJson()); // clock, makespan, all
+        }
+        EXPECT_FALSE(cl->cancel(1)); // already ran
 
-    const ServingMetrics m = cl->drain();
-    EXPECT_EQ(m.num_requests, static_cast<int>(trace.size()) - 1);
-    EXPECT_EQ(m.outputs_digest, mr.outputs_digest);
-    EXPECT_FALSE(cl->cancel(1)); // already ran
-
-    const serving::ClientStats cs = cl->stats();
-    EXPECT_EQ(cs.submitted, static_cast<int>(trace.size()));
-    EXPECT_EQ(cs.finished, static_cast<int>(trace.size()) - 1);
-    EXPECT_EQ(cs.canceled, 1);
-    EXPECT_EQ(cs.pending, 0);
+        const serving::ClientStats cs = cl->stats();
+        EXPECT_EQ(cs.submitted, static_cast<int>(trace.size()));
+        EXPECT_EQ(cs.finished, static_cast<int>(trace.size()) - 2);
+        EXPECT_EQ(cs.canceled, 2);
+        EXPECT_EQ(cs.pending, 0);
+    }
 }
 
 TEST(Cluster, StatsAggregateAcrossShards)

@@ -299,24 +299,24 @@ TEST(NetStream, EngineStreamMatchesBatchByteForByte)
         trace.push_back(workload(i, 24 + 8 * (i % 3), 6 + i % 4,
                                  0xF00ull + i % 2, 8));
 
-    serving::EngineClient batch(sim::archA100(), model::llama2_7b(),
-                                netTinyConfig());
+    auto batch = serving::makeServingClient(
+        sim::archA100(), model::llama2_7b(), netTinyConfig(), 1);
     for (const Request& r : trace)
-        batch.submit(r);
-    const ServingMetrics mb = batch.drain();
+        batch->submit(r);
+    const ServingMetrics mb = batch->drain();
 
-    serving::EngineClient stream(sim::archA100(), model::llama2_7b(),
-                                 netTinyConfig());
+    auto stream = serving::makeServingClient(
+        sim::archA100(), model::llama2_7b(), netTinyConfig(), 1);
     std::map<int, std::uint64_t> folded;
     std::map<int, int> token_counts;
-    const ServingMetrics ms = streamRun(stream, trace, folded,
+    const ServingMetrics ms = streamRun(*stream, trace, folded,
                                         token_counts);
 
     EXPECT_EQ(mb.outputs_digest, ms.outputs_digest);
     EXPECT_EQ(mb.toJson(), ms.toJson());
     for (const Request& q : trace) {
-        const Request* a = batch.poll(q.id);
-        const Request* b = stream.poll(q.id);
+        const Request* a = batch->poll(q.id);
+        const Request* b = stream->poll(q.id);
         ASSERT_NE(a, nullptr);
         ASSERT_NE(b, nullptr);
         EXPECT_EQ(a->output_hash, b->output_hash);
