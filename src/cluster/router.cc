@@ -63,7 +63,9 @@ Router::route(const serving::Request& r)
         break;
       case RoutePolicy::Sticky:
       default: {
-        if (r.prefix_id == 0 || r.prefix_tokens <= 0) {
+        // One shard keeps no prefix homes: there is nowhere else to go.
+        if (r.prefix_id == 0 || r.prefix_tokens <= 0 ||
+            cfg_.num_shards == 1) {
             shard = leastLoaded();
             stats_.least_loaded++;
             break;

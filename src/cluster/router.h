@@ -64,7 +64,8 @@ struct RouterStats
     long routed = 0;          //!< route() calls
     long sticky_hits = 0;     //!< follow-ups sent to their prefix home
     long cold_placements = 0; //!< first placement of a prefix family
-    long least_loaded = 0;    //!< prefix-free least-loaded placements
+    long least_loaded = 0;    //!< least-loaded placements (prefix-free,
+                              //!< or any request at one shard)
     long rebalances = 0;      //!< prefix homes moved under skew
     std::vector<long> per_shard_requests; //!< requests routed per shard
     std::vector<long> per_shard_tokens;   //!< load tokens routed per shard
