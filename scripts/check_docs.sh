@@ -16,6 +16,11 @@
 #     the forced-level CI legs.
 #  6. docs/NETWORK.md must exist and cover the net module — the wire
 #     protocol and drain semantics back the server smoke CI gate.
+#  7. Every backticked key type in ARCHITECTURE.md's module map must name
+#     something under src/: a `name.*` entry must match a file in that
+#     row's module directory; any other entry (template arguments and
+#     namespace qualifiers stripped) must appear as a whole word in some
+#     src/ header — a deleted or renamed type fails CI.
 #
 # Run from the repo root: scripts/check_docs.sh
 set -u
@@ -65,6 +70,33 @@ else
     done
 fi
 
+# Check 7: module-map rows look like | `src/<mod>/` | owns | `Key`, ... |
+if [ -e "$arch_doc" ]; then
+    while IFS= read -r row; do
+        mod_dir=$(printf '%s\n' "$row" | sed -E 's/^\| `(src\/[a-z_]+\/)` \|.*/\1/')
+        while IFS= read -r key; do
+            [ -z "$key" ] && continue
+            case "$key" in
+                *.\*)
+                    if ! compgen -G "$mod_dir${key%.\*}.*" >/dev/null; then
+                        echo "ERROR: $arch_doc lists \`$key\` for $mod_dir but no such file exists there"
+                        fail=1
+                    fi
+                    ;;
+                *)
+                    name="${key%%<*}"   # Tensor<T> -> Tensor
+                    name="${name##*::}" # simd::kernels -> kernels
+                    if ! grep -rqw --include='*.h' -- "$name" src; then
+                        echo "ERROR: $arch_doc lists \`$key\` for $mod_dir but no src/ header names it"
+                        fail=1
+                    fi
+                    ;;
+            esac
+        done < <(printf '%s\n' "$row" | awk -F'|' '{print $(NF-1)}' |
+                 grep -o '`[^`]*`' | tr -d '`')
+    done < <(grep -E '^\| `src/[a-z_]+/` \|' "$arch_doc")
+fi
+
 robust_doc="docs/ROBUSTNESS.md"
 if [ ! -e "$robust_doc" ]; then
     echo "ERROR: $robust_doc is missing"
@@ -105,4 +137,4 @@ if [ "$fail" -ne 0 ]; then
     echo "docs check FAILED"
     exit 1
 fi
-echo "docs check passed: links resolve, all modules documented"
+echo "docs check passed: links resolve, all modules and key types documented"

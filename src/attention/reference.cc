@@ -113,14 +113,4 @@ maxAbsDiff(const Tensor<float>& a, const Tensor<float>& b)
     return err;
 }
 
-float
-maxRelDiff(const Tensor<float>& a, const Tensor<float>& b, float eps)
-{
-    BITDEC_ASSERT(a.numel() == b.numel(), "shape mismatch");
-    float err = 0.f;
-    for (std::size_t i = 0; i < a.numel(); i++)
-        err = std::max(err, std::fabs(a[i] - b[i]) / (std::fabs(b[i]) + eps));
-    return err;
-}
-
 } // namespace bitdec::attn

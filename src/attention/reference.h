@@ -60,10 +60,6 @@ OnlineSoftmaxRow mergeSoftmaxRows(const OnlineSoftmaxRow& a,
 /** Largest |a - b| over two same-shaped FP32 matrices. */
 float maxAbsDiff(const Tensor<float>& a, const Tensor<float>& b);
 
-/** Largest |a - b| / (|b| + eps) over two matrices. */
-float maxRelDiff(const Tensor<float>& a, const Tensor<float>& b,
-                 float eps = 1e-5f);
-
 } // namespace bitdec::attn
 
 #endif // BITDEC_ATTENTION_REFERENCE_H

@@ -187,8 +187,7 @@ DecodeItem mxItem(const Tensor<Half>& q, const core::MxKvCache& kv);
 /**
  * One decode step's full batch. Every backend consumes this one shape:
  * the serving engine hands it all decoding requests of a tick, the
- * benches a single item, `model::batchedFusedDecode` one item per
- * (sequence, head).
+ * benches a single item.
  */
 struct DecodeBatch
 {

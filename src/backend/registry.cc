@@ -57,32 +57,6 @@ BackendRegistry::find(const std::string& name) const
     return it == backends_.end() ? nullptr : it->second.get();
 }
 
-AttentionBackend&
-BackendRegistry::resolveCapable(const ResolveQuery& query) const
-{
-    AttentionBackend* best = nullptr;
-    bool best_fused = false;
-    // Map order = name order, so the first fused (or first overall) match
-    // is the deterministic winner.
-    for (const auto& [name, b] : backends_) {
-        const BackendCapabilities caps = b->capabilities();
-        if (!caps.supportsCache(query.cache) ||
-            !caps.supportsFormat(query.format) ||
-            !caps.supportsScenario(query.scenario))
-            continue;
-        if (best == nullptr || (caps.fused_hot_path && !best_fused)) {
-            best = b.get();
-            best_fused = caps.fused_hot_path;
-        }
-    }
-    if (best == nullptr)
-        BITDEC_FATAL("no registered backend supports (",
-                     toString(query.cache), ", ", toString(query.format),
-                     ", ", attn::toString(query.scenario),
-                     ")\ncapability matrix:\n", capabilityMatrix());
-    return *best;
-}
-
 std::vector<std::string>
 BackendRegistry::names() const
 {

@@ -1,14 +1,12 @@
 /**
  * @file
- * String-keyed registry of attention backends with self-registration and
- * capability-based resolution.
+ * String-keyed registry of attention backends with self-registration.
  *
  * Builtin backends register themselves from static initializers in their
  * own translation units (BITDEC_REGISTER_BACKEND); the registry instance
- * anchors those units into static-library links. Resolution failures are
- * fatal with the full list of registered names (resolve) or the whole
- * capability matrix (resolveCapable) — there is deliberately no silent
- * fallback to a default backend.
+ * anchors those units into static-library links. An unknown name is
+ * fatal with the full list of registered names — there is deliberately
+ * no silent fallback to a default backend.
  */
 #ifndef BITDEC_BACKEND_REGISTRY_H
 #define BITDEC_BACKEND_REGISTRY_H
@@ -21,14 +19,6 @@
 #include "backend/attention_backend.h"
 
 namespace bitdec::backend {
-
-/** Capability query: what the caller's cache and workload look like. */
-struct ResolveQuery
-{
-    CacheKind cache = CacheKind::Contiguous;
-    QuantFormat format = QuantFormat::Fp16;
-    attn::Scenario scenario = attn::Scenario::Single;
-};
 
 /** Process-wide backend registry (Meyers singleton). */
 class BackendRegistry
@@ -53,14 +43,6 @@ class BackendRegistry
 
     /** Like resolve(), but returns nullptr for unknown names. */
     const AttentionBackend* find(const std::string& name) const;
-
-    /**
-     * Resolves the best backend for a capability query. Among matches the
-     * fused hot paths win; ties break to the lexicographically smallest
-     * name, so resolution is deterministic. No match is a fatal error
-     * printing the query and the full capability matrix.
-     */
-    AttentionBackend& resolveCapable(const ResolveQuery& query) const;
 
     /** Registered names, sorted. */
     std::vector<std::string> names() const;

@@ -161,16 +161,15 @@ Cluster::aggregateRound(
     out.per_shard = per_shard;
     out.router = router_.stats();
     if (n == 1) {
-        // One engine ran the whole round, requests canceled mid-stream
-        // included (the walk below counts those as never run): its
-        // metrics ARE the cluster metrics, bit for bit.
+        // One engine ran the whole round: its metrics ARE the cluster
+        // metrics, bit for bit.
         out.aggregate = per_shard.front();
         return out;
     }
 
     // Per-shard span of this round on the shared clock: the engine's
     // makespan is (final clock - first arrival), so a shard's absolute
-    // end is its first non-client-canceled arrival plus its makespan.
+    // end is the first arrival it was given plus its makespan.
     std::vector<double> first_arrival(
         n, std::numeric_limits<double>::infinity());
     std::vector<bool> active(n, false);
@@ -178,8 +177,11 @@ Cluster::aggregateRound(
     drained.reserve(store_.size() - round_);
     for (std::size_t slot = round_; slot < store_.size(); slot++) {
         const serving::Request& r = store_[slot];
-        if (r.cancel_cause == serving::CancelCause::Client)
-            continue; // never reached any engine
+        // Canceled before the round streamed: never reached an engine.
+        // An engine stamps finish_s on every cancel it performs, so a
+        // request canceled mid-stream counts (its engine saw it arrive).
+        if (r.cancel_cause == serving::CancelCause::Client && r.finish_s < 0)
+            continue;
         const auto s = static_cast<std::size_t>(index_.at(r.id).shard);
         active[s] = true;
         first_arrival[s] = std::min(first_arrival[s], r.arrival_s);

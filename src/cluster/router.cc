@@ -27,7 +27,6 @@ Router::Router(const RouterConfig& cfg) : cfg_(cfg)
     BITDEC_ASSERT(cfg_.rebalance_factor > 1.0,
                   "RouterConfig.rebalance_factor must be > 1 (got ",
                   cfg_.rebalance_factor, "): <= 1 thrashes prefix homes");
-    load_tokens_.assign(static_cast<std::size_t>(cfg_.num_shards), 0);
     stats_.per_shard_requests.assign(
         static_cast<std::size_t>(cfg_.num_shards), 0);
     stats_.per_shard_tokens.assign(static_cast<std::size_t>(cfg_.num_shards),
@@ -37,10 +36,11 @@ Router::Router(const RouterConfig& cfg) : cfg_(cfg)
 int
 Router::leastLoaded() const
 {
+    const std::vector<long>& load = stats_.per_shard_tokens;
     int best = 0;
     for (int s = 1; s < cfg_.num_shards; s++)
-        if (load_tokens_[static_cast<std::size_t>(s)] <
-            load_tokens_[static_cast<std::size_t>(best)])
+        if (load[static_cast<std::size_t>(s)] <
+            load[static_cast<std::size_t>(best)])
             best = s;
     return best;
 }
@@ -78,16 +78,15 @@ Router::route(const serving::Request& r)
             break;
         }
         const int home = it->second;
-        const long total = std::accumulate(load_tokens_.begin(),
-                                           load_tokens_.end(), 0L);
+        const std::vector<long>& load = stats_.per_shard_tokens;
+        const long total = std::accumulate(load.begin(), load.end(), 0L);
         const double mean =
             static_cast<double>(total) / cfg_.num_shards;
         const int lightest = leastLoaded();
         // Skew escape: pay one cold prefix prefill on a lighter shard
         // rather than queue the whole family behind a hot one.
         if (lightest != home &&
-            static_cast<double>(
-                load_tokens_[static_cast<std::size_t>(home)]) >
+            static_cast<double>(load[static_cast<std::size_t>(home)]) >
                 cfg_.rebalance_factor * mean) {
             shard = lightest;
             prefix_home_[r.prefix_id] = shard;
@@ -99,7 +98,6 @@ Router::route(const serving::Request& r)
         break;
       }
     }
-    load_tokens_[static_cast<std::size_t>(shard)] += tokens;
     stats_.routed++;
     stats_.per_shard_requests[static_cast<std::size_t>(shard)]++;
     stats_.per_shard_tokens[static_cast<std::size_t>(shard)] += tokens;
@@ -111,7 +109,7 @@ Router::shardLoad(int shard) const
 {
     BITDEC_ASSERT(shard >= 0 && shard < cfg_.num_shards, "bad shard index ",
                   shard);
-    return load_tokens_[static_cast<std::size_t>(shard)];
+    return stats_.per_shard_tokens[static_cast<std::size_t>(shard)];
 }
 
 int

@@ -68,7 +68,8 @@ struct RouterStats
                               //!< or any request at one shard)
     long rebalances = 0;      //!< prefix homes moved under skew
     std::vector<long> per_shard_requests; //!< requests routed per shard
-    std::vector<long> per_shard_tokens;   //!< load tokens routed per shard
+    //! load tokens routed per shard: the load placement compares
+    std::vector<long> per_shard_tokens;
 };
 
 /** Deterministic sticky prefix-aware shard placement. */
@@ -96,7 +97,6 @@ class Router
     int leastLoaded() const;
 
     RouterConfig cfg_;
-    std::vector<long> load_tokens_;
     std::unordered_map<std::uint64_t, int> prefix_home_;
     int next_rr_ = 0; //!< RoundRobin cursor
     RouterStats stats_;

@@ -1,35 +1,16 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 
 namespace bitdec {
 
-namespace {
-
-std::atomic<LogLevel> g_log_level{LogLevel::Warn};
-
-} // namespace
-
-void
-setLogLevel(LogLevel level)
-{
-    g_log_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel
-logLevel()
-{
-    return g_log_level.load(std::memory_order_relaxed);
-}
-
 namespace detail {
 
 void
-emitLog(LogLevel, const std::string& tag, const std::string& msg)
+warnImpl(const std::string& msg)
 {
-    std::fprintf(stderr, "[bitdec:%s] %s\n", tag.c_str(), msg.c_str());
+    std::fprintf(stderr, "[bitdec:warn] %s\n", msg.c_str());
 }
 
 void

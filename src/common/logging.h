@@ -4,7 +4,7 @@
  *
  * Follows the gem5 convention: fatal() terminates on user error (bad
  * configuration, invalid arguments), panic() aborts on internal invariant
- * violations (library bugs), warn()/inform() report without stopping.
+ * violations (library bugs), warn() reports to stderr without stopping.
  */
 #ifndef BITDEC_COMMON_LOGGING_H
 #define BITDEC_COMMON_LOGGING_H
@@ -14,19 +14,10 @@
 
 namespace bitdec {
 
-/** Verbosity levels for runtime log filtering. */
-enum class LogLevel { Silent = 0, Error = 1, Warn = 2, Info = 3, Debug = 4 };
-
-/** Sets the global log level (default: Warn). */
-void setLogLevel(LogLevel level);
-
-/** Returns the current global log level. */
-LogLevel logLevel();
-
 namespace detail {
 
-/** Emits one formatted log record to stderr. */
-void emitLog(LogLevel level, const std::string& tag, const std::string& msg);
+/** Writes one warning record to stderr. */
+void warnImpl(const std::string& msg);
 
 /** Terminates the process after reporting a user-caused fatal error. */
 [[noreturn]] void fatalImpl(const char* file, int line, const std::string& msg);
@@ -46,22 +37,12 @@ concat(Args&&... args)
 
 } // namespace detail
 
-/** Reports normal operating status (no connotation of a problem). */
-template <typename... Args>
-void
-inform(Args&&... args)
-{
-    if (logLevel() >= LogLevel::Info)
-        detail::emitLog(LogLevel::Info, "info", detail::concat(args...));
-}
-
 /** Reports a condition that may work but deserves user attention. */
 template <typename... Args>
 void
 warn(Args&&... args)
 {
-    if (logLevel() >= LogLevel::Warn)
-        detail::emitLog(LogLevel::Warn, "warn", detail::concat(args...));
+    detail::warnImpl(detail::concat(args...));
 }
 
 } // namespace bitdec

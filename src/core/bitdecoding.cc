@@ -50,13 +50,6 @@ HeadDecoder::decodeStep(const Tensor<Half>& q_tile, float scale)
     return packingKernelAttention(q_tile, cache_, scale, opts);
 }
 
-Tensor<float>
-HeadDecoder::fusedDecodeStep(const Tensor<Half>& q_tile, float scale,
-                             exec::ThreadPool* pool)
-{
-    return fusedPackedAttention(q_tile, cache_, scale, pool);
-}
-
 namespace {
 
 /** Builds the fused Packing-Kernel workload for the timing model. */

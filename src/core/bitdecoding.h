@@ -71,14 +71,6 @@ class HeadDecoder
      */
     PackingKernelResult decodeStep(const Tensor<Half>& q_tile, float scale);
 
-    /**
-     * Runs one decode step on the fused CPU execution backend — the fast
-     * path serving and benches use. Matches decodeStep to ~1e-3 max-abs.
-     * @param pool optional pool to spread KV chunks over; null = serial
-     */
-    Tensor<float> fusedDecodeStep(const Tensor<Half>& q_tile, float scale,
-                                  exec::ThreadPool* pool = nullptr);
-
     /** Underlying cache (inspection / tests). */
     const kv::PackedHeadCache& cache() const { return cache_; }
 

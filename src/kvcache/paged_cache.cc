@@ -1,5 +1,7 @@
 #include "kvcache/paged_cache.h"
 
+#include <algorithm>
+
 #include "common/logging.h"
 
 namespace bitdec::kv {
@@ -310,13 +312,15 @@ PagedHeadCache::pageResident(int seq, int idx) const
 }
 
 int
-PagedHeadCache::missingPages(int seq) const
+PagedHeadCache::missingPages(int seq, int first_page, int last_page) const
 {
     const auto& s = seqs_.at(static_cast<std::size_t>(seq));
     BITDEC_ASSERT(s.live, "sequence not live");
+    BITDEC_ASSERT(first_page >= 0, "bad logical page index ", first_page);
+    const int end = std::min(last_page, static_cast<int>(s.pages.size()) - 1);
     int n = 0;
-    for (int p : s.pages)
-        n += p == kNoPage ? 1 : 0;
+    for (int i = first_page; i <= end; i++)
+        n += s.pages[static_cast<std::size_t>(i)] == kNoPage ? 1 : 0;
     return n;
 }
 

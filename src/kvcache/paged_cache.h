@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <unordered_map>
@@ -186,8 +187,15 @@ class PagedHeadCache
     /** References held on physical page @p page (sequences + prefix index). */
     int pageRefCount(int page) const { return allocator_.refCount(page); }
 
-    /** Number of kNoPage holes in a sequence's page table. */
-    int missingPages(int seq) const;
+    /**
+     * Number of kNoPage holes among logical pages [@p first_page,
+     * @p last_page] of @p seq (the whole table by default; the range is
+     * clipped to the table). The page table is the one record of which
+     * pages are hot: the engine's decode and prefill gates and its
+     * prefix-publish check read it here.
+     */
+    int missingPages(int seq, int first_page = 0,
+                     int last_page = std::numeric_limits<int>::max()) const;
 
     /** Copy-on-write page copies performed so far (stats/tests). */
     long cowCopies() const { return cow_copies_; }

@@ -99,19 +99,6 @@ TieredPagePool::TieredPagePool(PagedHeadCache& hot, const TieredConfig& cfg)
     }
 }
 
-void
-TieredPagePool::syncRecord(int seq, Parked& rec)
-{
-    const int pages = static_cast<int>(hot_.pageTable(seq).size());
-    rec.hot_bits.resizeBits(pages);
-    for (int i = 0; i < pages; i++) {
-        if (hot_.pageResident(seq, i))
-            rec.hot_bits.setBit(i);
-        else
-            rec.hot_bits.clearBit(i);
-    }
-}
-
 double
 TieredPagePool::transferCost(int t, int pages) const
 {
@@ -144,8 +131,6 @@ TieredPagePool::dropLruVictim(int seq, const std::vector<int>& protect)
     stats_.dropped_pages += static_cast<long>(rec.cold.size());
     dropColdPayload(rec); // engine recomputes the victim from seeds
     stats_.lru_drops++;
-    inform("tiered: cold tiers full — LRU-dropped seq ", victim,
-           "'s payload (recompute on resume)");
     return true;
 }
 
@@ -214,7 +199,6 @@ TieredPagePool::offloadSequence(int seq, double now,
         return res;
     }
     auto& rec = parked_[seq];
-    syncRecord(seq, rec);
     const int pages = static_cast<int>(hot_.pageTable(seq).size());
     const std::size_t payload = static_cast<std::size_t>(hot_.pageSize()) *
                                 static_cast<std::size_t>(hot_.headDim());
@@ -229,7 +213,6 @@ TieredPagePool::offloadSequence(int seq, double now,
         cold.k.resize(payload);
         cold.v.resize(payload);
         hot_.evictPage(seq, i, cold.k.data(), cold.v.data());
-        rec.hot_bits.clearBit(i);
         // A page leaving the hot pool can no longer satisfy the read its
         // prefetch anticipated — forget the pending-hit marker, or a
         // later fetch of the same page would double-count the hit.
@@ -297,7 +280,8 @@ TieredPagePool::offloadSequence(int seq, double now,
              seq, " — payload dropped, sequence recomputes on resume");
     }
     rec.last_access = now;
-    rec.hot_bits.touch(now);
+    if (res.moved > 0)
+        rec.resume_pending = true;
     return res;
 }
 
@@ -314,7 +298,6 @@ TieredPagePool::fetchRange(int seq, int first_tok, int last_tok, double now)
         return res;
     }
     auto& rec = parked_.at(seq);
-    syncRecord(seq, rec);
     if (rec.lost) {
         res.status = CacheStatus::ContentLost;
         return res;
@@ -369,8 +352,6 @@ TieredPagePool::fetchRange(int seq, int first_tok, int last_tok, double now)
             // Transient allocator hiccup: distinct from genuine pool
             // exhaustion — freeing pages won't help, backing off will.
             stats_.transfer_failures++;
-            inform("tiered: transient hot-pool allocation failure restoring "
-                   "seq ", seq, " page ", i, " (retry with backoff)");
             res.status = CacheStatus::TransientFault;
             continue;
         }
@@ -378,8 +359,6 @@ TieredPagePool::fetchRange(int seq, int first_tok, int last_tok, double now)
             injector_->roll(fault::FaultKind::FetchFailure, now, attempt,
                             static_cast<std::uint64_t>(i))) {
             stats_.transfer_failures++;
-            inform("tiered: fetch of seq ", seq, " page ", i, " from ",
-                   tierName(tier), " failed (retry with backoff)");
             res.status = CacheStatus::TransientFault;
             continue;
         }
@@ -425,9 +404,6 @@ TieredPagePool::fetchRange(int seq, int first_tok, int last_tok, double now)
                 // and the corrected payload re-verified. Restore as if
                 // nothing happened.
                 stats_.repaired_pages++;
-                inform("tiered: single-bit rot on seq ", seq, " page ", i,
-                       " from ", tierName(tier),
-                       " corrected in place (ECC)");
             } else {
                 // Multi-bit rot the ECC cannot locate. Only *this* page
                 // is poison — every other page is checksum-verified — so
@@ -452,7 +428,6 @@ TieredPagePool::fetchRange(int seq, int first_tok, int last_tok, double now)
             res.status = rs; // hot pool dry: caller frees pages, retries
             break;
         }
-        rec.hot_bits.setBit(i);
         tier_used_pages_[static_cast<std::size_t>(tier)]--;
         moved_per_tier[static_cast<std::size_t>(tier)]++;
         if (static_cast<int>(w) >= demand) {
@@ -473,7 +448,6 @@ TieredPagePool::fetchRange(int seq, int first_tok, int last_tok, double now)
     if (saw_corruption)
         res.status = CacheStatus::CorruptionDetected;
     rec.last_access = now;
-    rec.hot_bits.touch(now);
     return res;
 }
 
@@ -499,7 +473,6 @@ TieredPagePool::touchRange(int seq, int first_tok, int last_tok, double now)
             stats_.prefetch_hits++; // first real read of a prefetched page
     }
     rec.last_access = now;
-    rec.hot_bits.touch(now);
 }
 
 void
@@ -514,28 +487,13 @@ TieredPagePool::forgetSequence(int seq)
 }
 
 bool
-TieredPagePool::fullyResident(int seq) const
+TieredPagePool::takeResumeMark(int seq)
 {
     const auto it = parked_.find(seq);
-    if (it == parked_.end())
-        return true;
-    return hot_.missingPages(seq) == 0;
-}
-
-bool
-TieredPagePool::isAnythingEmptyInRng(int seq, int first_page,
-                                     int last_page) const
-{
-    const auto it = parked_.find(seq);
-    if (it == parked_.end())
+    if (it == parked_.end() || !it->second.resume_pending)
         return false;
-    const int pages = static_cast<int>(hot_.pageTable(seq).size());
-    first_page = std::max(0, first_page);
-    last_page = std::min(pages - 1, last_page);
-    for (int i = first_page; i <= last_page; i++)
-        if (!hot_.pageResident(seq, i))
-            return true;
-    return false;
+    it->second.resume_pending = false;
+    return true;
 }
 
 int

@@ -18,9 +18,11 @@
  *  - fetchRange: demand-restore the pages covering a token range plus a
  *    lookahead window (prefetch) on sequence resume, charging per-tier
  *    base latency + bytes/bandwidth on the caller's virtual clock.
- *  - Residency tracking per sequence via ResidencyBitmap (xrootd
- *    CacheFileInfo style): the engine gates decode on
- *    isAnythingEmptyInRng over the sequence's whole page range.
+ *  - Residency: the hot page table's kNoPage holes are the one record
+ *    of which pages are hot. The engine gates decode on
+ *    PagedHeadCache::missingPages over the sequence's page range; the
+ *    pool keeps only what the table cannot say (cold payloads, LRU
+ *    time, the resume mark).
  *  - LRU whole-sequence drops when every cold tier is full: the victim's
  *    cold payload is discarded and the sequence marked content-lost; the
  *    engine recomputes it from the request seeds on resume (digests are
@@ -40,7 +42,6 @@
 #include "common/half.h"
 #include "fault/fault.h"
 #include "kvcache/paged_cache.h"
-#include "kvcache/residency.h"
 #include "kvcache/status.h"
 
 namespace bitdec::kv {
@@ -146,11 +147,12 @@ struct FetchResult
 /**
  * Host/disk offload layer over one PagedHeadCache.
  *
- * The pool tracks a record per offloaded ("parked") sequence: a residency
- * bitmap over its logical pages, the cold payload of each non-resident
- * page, and LRU access bookkeeping. The engine owns the policy of *when*
- * to offload (preemption, idle parking) and *when* to fetch (resume);
- * this class owns placement, capacity accounting and transfer cost.
+ * The pool tracks a record per offloaded ("parked") sequence: the cold
+ * payload of each offloaded page, its LRU access time and whether a
+ * resume is pending. Which pages are hot is read from the hot page
+ * table. The engine owns the policy of *when* to offload (preemption,
+ * idle parking) and *when* to fetch (resume); this class owns
+ * placement, capacity accounting and transfer cost.
  */
 class TieredPagePool
 {
@@ -167,7 +169,9 @@ class TieredPagePool
      * CoW partials) stay hot. When the cold tiers are full, other
      * unprotected parked sequences are LRU-dropped to make room; as a
      * last resort the payload is discarded and @p seq marked
-     * content-lost (OffloadResult::dropped, status ContentLost).
+     * content-lost (OffloadResult::dropped, status ContentLost). An
+     * offload that moves any page sets the resume mark (see
+     * takeResumeMark).
      *
      * @param protect sequence ids that must not be LRU-dropped (the
      *                engine's currently-running set)
@@ -223,20 +227,21 @@ class TieredPagePool
      */
     void touchRange(int seq, int first_tok, int last_tok, double now);
 
-    /** Drops all tracking and cold payload of @p seq (finish/abort). */
+    /**
+     * Drops all tracking and cold payload of @p seq (finish/abort),
+     * its resume mark included.
+     */
     void forgetSequence(int seq);
 
     /** True when the pool holds state for @p seq. */
     bool tracked(int seq) const { return parked_.count(seq) > 0; }
 
-    /** True when no page of @p seq is offloaded. */
-    bool fullyResident(int seq) const;
-
     /**
-     * True when any logical page in [@p first_page, @p last_page] of
-     * @p seq is non-resident (the engine's decode gate).
+     * Clears @p seq's resume mark. @return true when it was set: an
+     * offload moved pages since the last take. The engine takes it once
+     * the sequence is fully resident again and counts a cold resume.
      */
-    bool isAnythingEmptyInRng(int seq, int first_page, int last_page) const;
+    bool takeResumeMark(int seq);
 
     /** Cold (offloaded) pages currently held for @p seq. */
     int coldPages(int seq) const;
@@ -282,16 +287,13 @@ class TieredPagePool
 
     struct Parked
     {
-        ResidencyBitmap hot_bits; //!< set = resident in the hot pool
         std::unordered_map<int, ColdPage> cold; //!< logical idx -> payload
         //! pages restored by lookahead, awaiting their first real read
         std::unordered_set<int> prefetched_resident;
         double last_access = 0;
         bool lost = false; //!< cold payload discarded; recompute on resume
+        bool resume_pending = false; //!< pages moved out, resume not taken
     };
-
-    /** Resizes/refreshes a record's bitmap against the hot page table. */
-    void syncRecord(int seq, Parked& rec);
 
     /**
      * Makes room for one more cold page: spill tier-0 -> tier-1, then

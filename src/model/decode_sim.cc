@@ -5,7 +5,6 @@
 #include "attention/flash_decoding.h"
 #include "attention/kivi_baseline.h"
 #include "attention/qserve_baseline.h"
-#include "backend/registry.h"
 #include "common/logging.h"
 
 namespace bitdec::model {
@@ -156,21 +155,6 @@ decodeThroughput(const sim::GpuArch& arch, const ModelConfig& model,
     r.step_latency_s = t.total_s;
     r.tokens_per_s = batch / t.total_s;
     return r;
-}
-
-std::vector<Tensor<float>>
-batchedFusedDecode(const std::vector<FusedDecodeItem>& items, float scale,
-                   exec::ThreadPool* pool)
-{
-    backend::AttentionBackend& be =
-        backend::BackendRegistry::instance().resolve("fused-packed");
-    backend::DecodeBatch batch;
-    batch.scale = scale;
-    batch.pool = pool;
-    batch.items.reserve(items.size());
-    for (const FusedDecodeItem& it : items)
-        batch.items.push_back(backend::packedItem(*it.q, *it.cache));
-    return be.decodeStep(batch);
 }
 
 ThroughputResult

@@ -90,32 +90,6 @@ ThroughputResult maxBatchThroughput(const sim::GpuArch& arch,
                                     const ModelConfig& model, int seq_len,
                                     const E2EConfig& cfg, int batch_limit = 256);
 
-/**
- * One (sequence, head) work item of a functional batched decode step:
- * a query tile against that head's packed cache.
- */
-struct FusedDecodeItem
-{
-    const Tensor<Half>* q;            //!< [gq x d] query tile
-    const kv::PackedHeadCache* cache; //!< the (sequence, head) KV
-};
-
-/**
- * Runs the `fused-packed` attention backend (resolved through the
- * BackendRegistry) for every (sequence, head) item, spread across the
- * thread pool. Each output slot is produced by exactly one task (a
- * single-item batch instead hands the pool to the kernel's KV chunks,
- * which are themselves thread-count invariant), so the result vector is
- * bitwise identical for any thread count.
- *
- * @param items (sequence, head) tiles; pointers must stay valid
- * @param scale logit scale
- * @param pool  optional pool; null runs the batch inline
- */
-std::vector<Tensor<float>> batchedFusedDecode(
-    const std::vector<FusedDecodeItem>& items, float scale,
-    exec::ThreadPool* pool = nullptr);
-
 } // namespace bitdec::model
 
 #endif // BITDEC_MODEL_DECODE_SIM_H

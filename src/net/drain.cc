@@ -38,16 +38,4 @@ drainRequested()
     return g_drain.load(std::memory_order_relaxed);
 }
 
-void
-requestDrainFlag()
-{
-    g_drain.store(true, std::memory_order_relaxed);
-}
-
-void
-resetDrainFlag()
-{
-    g_drain.store(false, std::memory_order_relaxed);
-}
-
 } // namespace bitdec::net

@@ -17,14 +17,8 @@ namespace bitdec::net {
 /** Arms SIGINT/SIGTERM to request a graceful drain. Idempotent. */
 void installDrainSignalHandlers();
 
-/** True once SIGINT or SIGTERM was received (or requestDrainFlag()). */
+/** True once SIGINT or SIGTERM was received. */
 bool drainRequested();
-
-/** Programmatic equivalent of the signal, for tests. */
-void requestDrainFlag();
-
-/** Clears the flag (tests that drain more than once). */
-void resetDrainFlag();
 
 } // namespace bitdec::net
 

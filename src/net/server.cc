@@ -167,7 +167,7 @@ Server::handleSubmit(Conn& c, const std::string& payload)
                   "server is draining, not accepting new requests");
         return;
     }
-    if (inflight_ >= cfg_.max_inflight) {
+    if (static_cast<int>(conn_of_.size()) >= cfg_.max_inflight) {
         busy_rejections_++;
         sendError(c, m.id, ErrorCode::Busy,
                   detail::concat("server is at its admission cap (",
@@ -227,7 +227,6 @@ Server::handleSubmit(Conn& c, const std::string& payload)
     c.live.insert(m.id);
     c.owned.insert(m.id);
     conn_of_[m.id] = &c;
-    inflight_++;
     enqueue(c, encodeSubmitOk(m.id));
 }
 
@@ -346,7 +345,6 @@ Server::emitFinished()
             d.finish_s = r->finish_s;
             enqueue(*c, encodeDone(d));
             conn_of_.erase(r->id);
-            inflight_--;
             it = c->live.erase(it);
         }
     }
@@ -385,7 +383,6 @@ Server::dropConn(std::size_t idx)
     for (const int id : c.live) {
         client_.streamCancel(id);
         conn_of_.erase(id);
-        inflight_--;
     }
     c.live.clear();
     ::close(c.fd);
@@ -410,21 +407,11 @@ Server::run()
             first_token_queued_ = true;
     });
 
-    inform("net: serving on ", cfg_.bind_host, ":", port_, " (backend ",
-           info_.backend, ", ", info_.shards, " shard",
-           info_.shards == 1 ? "" : "s", ")");
-
-    bool announced_drain = false;
     for (;;) {
         const bool draining = drainingNow();
-        if (draining && !announced_drain) {
-            announced_drain = true;
-            inform("net: drain requested — finishing ", inflight_,
-                   " in-flight request", inflight_ == 1 ? "" : "s");
-        }
 
         // Drain exit: nothing in flight, nothing buffered.
-        if (draining && inflight_ == 0) {
+        if (draining && conn_of_.empty()) {
             bool flushed = true;
             for (const auto& c : conns_)
                 if (!c->out.empty())
@@ -477,9 +464,7 @@ Server::run()
 
     for (std::size_t i = conns_.size(); i-- > 0;)
         dropConn(i);
-    const serving::ServingMetrics m = client_.streamEnd();
-    inform("net: drained — ", m.num_requests, " requests served");
-    return m;
+    return client_.streamEnd();
 }
 
 } // namespace bitdec::net

@@ -143,8 +143,9 @@ class Server
     int port_ = 0;
     std::atomic<bool> drain_{false};
     std::vector<std::unique_ptr<Conn>> conns_;
-    std::unordered_map<int, Conn*> conn_of_; //!< request id -> connection
-    int inflight_ = 0;
+    //! In-flight request id -> connection; its size is the admission
+    //! count that max_inflight caps.
+    std::unordered_map<int, Conn*> conn_of_;
     //! The current pump round queued a request's first TOKEN frame.
     bool first_token_queued_ = false;
     long busy_rejections_ = 0;

@@ -156,15 +156,6 @@ mxEncode(const std::vector<float>& x, MxKind kind)
     return v;
 }
 
-std::vector<float>
-mxDecode(const MxVector& v)
-{
-    std::vector<float> out(v.size());
-    for (std::size_t i = 0; i < v.size(); i++)
-        out[i] = v.valueAt(i);
-    return out;
-}
-
 float
 MxMatrix::valueAt(std::size_t r, std::size_t c) const
 {

@@ -70,9 +70,6 @@ struct MxVector
  */
 MxVector mxEncode(const std::vector<float>& x, MxKind kind);
 
-/** Decodes back to floats. */
-std::vector<float> mxDecode(const MxVector& v);
-
 /**
  * Encodes a row-major matrix row-by-row (blocks run along columns, the K
  * dimension of the MMA, as the hardware requires).

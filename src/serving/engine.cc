@@ -248,7 +248,6 @@ void
 Engine::dropToRecompute(Request& r)
 {
     BITDEC_ASSERT(r.seq >= 0, "recompute without a sequence");
-    pending_resume_.erase(r.seq);
     pool_.forgetSequence(r.seq);
     cache_.removeSequence(r.seq);
     r.seq = cache_.addSequence();
@@ -265,7 +264,6 @@ Engine::cancelRequest(Request& r, CancelCause cause, double now)
 {
     sched_.remove(&r);
     if (r.seq >= 0) {
-        pending_resume_.erase(r.seq);
         pool_.forgetSequence(r.seq);
         cache_.removeSequence(r.seq);
         r.seq = -1;
@@ -273,18 +271,10 @@ Engine::cancelRequest(Request& r, CancelCause cause, double now)
     r.state = RequestState::Canceled;
     r.cancel_cause = cause;
     r.finish_s = now;
-    if (cause == CancelCause::Deadline) {
+    if (cause == CancelCause::Deadline)
         deadline_cancels_++;
-        inform("serving: request ", r.id, " canceled — deadline ",
-               r.deadline_s, " s passed at ", now, " s");
-    } else if (cause == CancelCause::Client) {
-        inform("serving: request ", r.id, " canceled by client at ", now,
-               " s");
-    } else {
+    else if (cause == CancelCause::Shed)
         shed_requests_++;
-        inform("serving: request ", r.id, " shed — queued since ",
-               r.arrival_s, " s, still unadmitted at ", now, " s");
-    }
 }
 
 int
@@ -296,7 +286,7 @@ Engine::ensureResident(Request& r, double now, MetricsCollector& mc)
     if (cache_.missingPages(r.seq) == 0) {
         // Fully resident already (possibly via earlier prefetches).
         r.fetch_retries = 0;
-        if (pending_resume_.erase(r.seq))
+        if (pool_.takeResumeMark(r.seq))
             cold_resumes_++;
         return 0;
     }
@@ -321,7 +311,7 @@ Engine::ensureResident(Request& r, double now, MetricsCollector& mc)
         first_page = last_page = len / ps;
     }
     if (last_page < 0 ||
-        !pool_.isAnythingEmptyInRng(r.seq, first_page, last_page))
+        cache_.missingPages(r.seq, first_page, last_page) == 0)
         return 0;
     const kv::FetchResult fr = pool_.fetchRange(
         r.seq, first_page * ps, std::min(len - 1, last_page * ps + ps - 1),
@@ -398,9 +388,7 @@ Engine::ensureResident(Request& r, double now, MetricsCollector& mc)
                      now + fault::backoffDelay(cfg_.retry, r.fetch_retries));
         return 0;
     }
-    int missing = 0;
-    for (int i = first_page; i <= last_page; i++)
-        missing += cache_.pageResident(r.seq, i) ? 0 : 1;
+    const int missing = cache_.missingPages(r.seq, first_page, last_page);
     if (missing > 0) {
         // Hot pool ran dry mid-restore: report the shortfall so the
         // preemption loop frees pages, then the fetch retries.
@@ -408,7 +396,7 @@ Engine::ensureResident(Request& r, double now, MetricsCollector& mc)
         return missing;
     }
     r.fetch_retries = 0;
-    if (pending_resume_.erase(r.seq))
+    if (pool_.takeResumeMark(r.seq))
         cold_resumes_++;
     return 0;
 }
@@ -427,13 +415,9 @@ Engine::evictIdleVictim(double now)
     }
     if (victim == nullptr)
         return false;
-    if (pool_.enabled()) {
-        const kv::OffloadResult off =
-            pool_.offloadSequence(victim->seq, now, runningSeqs());
-        if (off.moved > 0)
-            pending_resume_.insert(victim->seq);
-        return off.moved > 0;
-    }
+    if (pool_.enabled())
+        return pool_.offloadSequence(victim->seq, now, runningSeqs())
+                   .moved > 0;
     // Untiered fallback: drop the parked pages outright; the session
     // recomputes its context from seeds on wake (digest-identical).
     cache_.removeSequence(victim->seq);
@@ -525,7 +509,6 @@ Engine::streamBegin(TokenSink sink)
     stream_active_ = true;
     sink_ = std::move(sink);
     live_.clear();
-    had_requests_ = false;
     next_arrival_ = 0;
     finished_ = 0;
     clock_ = 0;
@@ -552,7 +535,6 @@ Engine::streamAdd(Request* r)
                              return a->arrival_s < b->arrival_s;
                          });
     live_.insert(it, r);
-    had_requests_ = true;
     first_arrival_ = std::min(first_arrival_, r->arrival_s);
 }
 
@@ -727,9 +709,7 @@ Engine::streamTick()
                 // the resume fetch pays the read latency.
                 const int seq = victim->seq;
                 sched_.preempt(victim, cache_, /*keep_pages=*/true);
-                if (pool_.offloadSequence(seq, clock, runningSeqs()).moved >
-                    0)
-                    pending_resume_.insert(seq);
+                pool_.offloadSequence(seq, clock, runningSeqs());
             } else {
                 sched_.preempt(victim, cache_);
             }
@@ -766,8 +746,9 @@ Engine::streamTick()
                     r->prefix_tokens > 0 &&
                     r->prefilled >= r->prefix_tokens &&
                     cache_.prefixTokens(r->prefix_id) == 0 &&
-                    !pool_.isAnythingEmptyInRng(
-                        r->seq, 0, cache_.pagesFor(r->prefix_tokens) - 1))
+                    cache_.missingPages(
+                        r->seq, 0, cache_.pagesFor(r->prefix_tokens) - 1) ==
+                        0)
                     cache_.publishPrefix(r->prefix_id, r->seq,
                                          r->prefix_tokens);
                 if (r->prefilled == r->prefillTarget())
@@ -863,7 +844,6 @@ Engine::streamTick()
             if (r->generated == r->output_tokens) {
                 r->finish_s = clock;
                 pool_.forgetSequence(r->seq);
-                pending_resume_.erase(r->seq);
                 sched_.finish(r, cache_);
                 mc.onFinish(*r);
                 finished_++;
@@ -880,9 +860,8 @@ Engine::streamTick()
                 r->generated != r->idle_after_tokens)
                 continue;
             sched_.parkIdle(r);
-            if (pool_.enabled() &&
-                pool_.offloadSequence(r->seq, clock, runningSeqs()).moved > 0)
-                pending_resume_.insert(r->seq);
+            if (pool_.enabled())
+                pool_.offloadSequence(r->seq, clock, runningSeqs());
         }
 
         mc.onStep(step_s, plan.decode_batch, plan.prefill_tokens,
@@ -940,7 +919,7 @@ Engine::streamEnd()
     BITDEC_ASSERT(streamIdle(), "streamEnd with live requests — pump "
                                 "streamTick until streamIdle first");
     ServingMetrics m;
-    if (had_requests_)
+    if (std::isfinite(first_arrival_)) // streamAdd ran since streamBegin
         m = finalizeMetrics();
     stream_active_ = false;
     sink_ = {};

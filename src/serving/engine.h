@@ -42,7 +42,6 @@
 #include <functional>
 #include <limits>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "exec/thread_pool.h"
@@ -311,9 +310,6 @@ class Engine
     kv::PagedHeadCache cache_;
     kv::TieredPagePool pool_;
     Scheduler sched_;
-    //! Sequences offloaded and awaiting their resume fetch: resolves to
-    //! a cold resume (pages fetched back) or a recompute (payload lost).
-    std::unordered_set<int> pending_resume_;
     int cold_resumes_ = 0;
     int recompute_resumes_ = 0;
     //! Fault decisions for the tiered transfer paths (armed into pool_;
@@ -333,11 +329,11 @@ class Engine
     //! stream-mode twin of run()'s sorted `order` vector. Each tick
     //! starts by dropping the enqueued requests that are done (dropDone).
     std::vector<Request*> live_;
-    bool had_requests_ = false;    //!< streamAdd ran since streamBegin
     std::size_t next_arrival_ = 0; //!< first live_ slot not yet enqueued
     int finished_ = 0;             //!< done requests still in live_
     double clock_ = 0;
     bool clock_started_ = false; //!< clock_ seeded from the first arrival
+    //! Earliest added arrival; infinite until the first streamAdd.
     double first_arrival_ = std::numeric_limits<double>::infinity();
     MetricsCollector mc_;
 };

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unified AttentionBackend API tests: registry listing/self-registration,
- * fail-fast resolution (unknown names, duplicate registration, capability
+ * fail-fast resolution (unknown names, duplicate registration, binding
  * mismatches), the cross-backend digest parity sweep, and the engine's
  * backend-by-name configuration.
  */
@@ -27,12 +27,9 @@ namespace {
 
 using backend::AttentionBackend;
 using backend::BackendRegistry;
-using backend::CacheKind;
 using backend::DecodeBatch;
 using backend::DecodeFixture;
 using backend::FixtureConfig;
-using backend::QuantFormat;
-using backend::ResolveQuery;
 using exec::simd::Level;
 
 // --------------------------------------------------------- registry -----
@@ -83,38 +80,7 @@ TEST(BackendRegistry, DuplicateNameRegistrationDies)
                  "'reference' is already registered");
 }
 
-// ----------------------------------------------- capability resolution --
-
-TEST(BackendResolution, PrefersFusedHotPathsDeterministically)
-{
-    auto& reg = BackendRegistry::instance();
-    ResolveQuery q;
-    q.cache = CacheKind::Paged;
-    q.format = QuantFormat::Fp16;
-    q.scenario = attn::Scenario::Serving;
-    // Both reference and fused-paged match; the fused hot path wins.
-    EXPECT_STREQ(reg.resolveCapable(q).name(), "fused-paged");
-
-    q.cache = CacheKind::Contiguous;
-    q.scenario = attn::Scenario::Single;
-    EXPECT_STREQ(reg.resolveCapable(q).name(), "fused-fp16");
-
-    q.format = QuantFormat::Int2; // QServe is 4-bit-only; KIVI isn't fused
-    EXPECT_STREQ(reg.resolveCapable(q).name(), "fused-packed");
-
-    q.format = QuantFormat::Mx;
-    EXPECT_STREQ(reg.resolveCapable(q).name(), "mx");
-}
-
-TEST(BackendResolution, CapabilityMismatchDiesWithMatrix)
-{
-    ResolveQuery q;
-    q.cache = CacheKind::Paged;
-    q.format = QuantFormat::Int2;
-    q.scenario = attn::Scenario::Serving;
-    EXPECT_DEATH(BackendRegistry::instance().resolveCapable(q),
-                 "no registered backend supports.*capability matrix");
-}
+// ---------------------------------------------------- binding checks ----
 
 TEST(BackendResolution, BindingMismatchDiesWithClearError)
 {

@@ -4,11 +4,13 @@
  * prefix homes, least-loaded fallback, rebalancing under skew),
  * Cluster(shards=1) byte-equivalence with a bare Engine through the
  * ServingClient seam, shard-count invariance of per-request digests,
- * client cancellation, EngineConfig validation and the shared
- * ServingOptions CLI grammar.
+ * client cancellation (before a round and mid-stream, where the
+ * makespan must stay on the shared clock), EngineConfig validation and
+ * the shared ServingOptions CLI grammar.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -341,6 +343,45 @@ TEST(Cluster, ClientCancelExcludesRequestFromDrainAndDigest)
         EXPECT_EQ(cs.canceled, 2);
         EXPECT_EQ(cs.pending, 0);
     }
+}
+
+TEST(Cluster, MidStreamCancelOfEarliestArrivalKeepsMakespanOnSharedClock)
+{
+    // Request 0 (the earliest arrival) reaches shard 0's engine and is
+    // canceled mid-stream; 1 and 2 run on shards 1 and 0. Shard 0's
+    // engine measures its makespan from request 0's arrival, so the
+    // aggregate must too: it spans the earliest arrival to the last
+    // finish.
+    ClusterConfig cc;
+    cc.num_shards = 2;
+    cc.engine = clusterTinyConfig(64);
+    cc.router.policy = RoutePolicy::RoundRobin;
+    Cluster cl(sim::archA100(), model::llama2_7b(), cc);
+    const double arrivals[] = {0.0, 0.02, 0.05};
+    cl.streamBegin();
+    for (int id = 0; id < 3; id++) {
+        Request r = workload(id, 40, id == 0 ? 200 : 24);
+        r.arrival_s = arrivals[id];
+        cl.streamSubmit(r);
+    }
+    ASSERT_EQ(cl.shardOf(0), 0);
+    ASSERT_EQ(cl.shardOf(1), 1);
+    ASSERT_EQ(cl.shardOf(2), 0);
+    for (int t = 0; t < 3; t++)
+        ASSERT_TRUE(cl.streamTick());
+    ASSERT_TRUE(cl.streamCancel(0));
+    while (cl.streamTick()) {
+    }
+    const ServingMetrics m = cl.streamEnd();
+
+    EXPECT_EQ(m.num_requests, 2);
+    EXPECT_EQ(cl.poll(0)->state, RequestState::Canceled);
+    double last_finish = 0;
+    for (int id = 1; id < 3; id++) {
+        ASSERT_EQ(cl.poll(id)->state, RequestState::Finished);
+        last_finish = std::max(last_finish, cl.poll(id)->finish_s);
+    }
+    EXPECT_NEAR(m.makespan_s, last_finish - arrivals[0], 1e-12);
 }
 
 TEST(Cluster, StatsAggregateAcrossShards)

@@ -14,13 +14,13 @@
 
 #include "attention/flash_decoding.h"
 #include "attention/reference.h"
+#include "backend/registry.h"
 #include "common/rng.h"
 #include "core/bitdecoding.h"
 #include "core/packing_kernel.h"
 #include "exec/fused_attention.h"
 #include "exec/thread_pool.h"
 #include "gpusim/arch.h"
-#include "model/decode_sim.h"
 #include "model/model_config.h"
 #include "serving/engine.h"
 #include "serving/trace.h"
@@ -402,18 +402,26 @@ TEST(BatchedFusedDecode, MatchesPerItemAndIsThreadCountInvariant)
         queries.push_back(std::move(q));
     }
 
-    std::vector<model::FusedDecodeItem> items;
+    // One fused-packed batch of (sequence, head) items, resolved through
+    // the registry: each output slot comes from one task, so the result
+    // is bitwise identical for any thread count.
+    backend::AttentionBackend& be =
+        backend::BackendRegistry::instance().resolve("fused-packed");
+    backend::DecodeBatch batch;
+    batch.scale = 0.125f;
     for (int i = 0; i < 6; i++)
-        items.push_back({&queries[static_cast<std::size_t>(i)],
-                         &decoders[static_cast<std::size_t>(i)]->cache()});
+        batch.items.push_back(backend::packedItem(
+            queries[static_cast<std::size_t>(i)],
+            decoders[static_cast<std::size_t>(i)]->cache()));
 
     exec::ThreadPool pool8(8);
-    const auto serial = model::batchedFusedDecode(items, 0.125f, nullptr);
-    const auto parallel = model::batchedFusedDecode(items, 0.125f, &pool8);
-    ASSERT_EQ(serial.size(), items.size());
-    for (std::size_t i = 0; i < items.size(); i++) {
+    const auto serial = be.decodeStep(batch);
+    batch.pool = &pool8;
+    const auto parallel = be.decodeStep(batch);
+    ASSERT_EQ(serial.size(), batch.items.size());
+    for (std::size_t i = 0; i < batch.items.size(); i++) {
         const Tensor<float> direct = core::fusedPackedAttention(
-            *items[i].q, *items[i].cache, 0.125f);
+            queries[i], decoders[i]->cache(), 0.125f);
         for (std::size_t e = 0; e < direct.numel(); e++) {
             EXPECT_EQ(serial[i][e], direct[e]);
             EXPECT_EQ(parallel[i][e], direct[e]);

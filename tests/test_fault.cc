@@ -274,7 +274,7 @@ TEST(FaultDefense, ChecksumCatchesUncorrectableCorruption)
     // The payload is gone page-by-page, not whole-sequence: the record
     // is not content-lost, the pages are holes awaiting a rebuild.
     EXPECT_FALSE(pool.contentLost(seq));
-    EXPECT_FALSE(pool.fullyResident(seq));
+    EXPECT_EQ(cache.missingPages(seq), 4);
     for (int i = 0; i < 4; i++)
         EXPECT_FALSE(pool.coldHas(seq, i));
     // With nothing cold left, a further fetch has nothing to move.
@@ -298,7 +298,7 @@ TEST(FaultDefense, TransientFetchFailuresSucceedOnRetry)
 
     int attempts = 0;
     double now = 2.0;
-    while (!pool.fullyResident(seq)) {
+    while (cache.missingPages(seq) > 0) {
         ASSERT_LT(attempts, 200) << "retries are not making progress";
         pool.fetchRange(seq, 0, 7, now += 0.01);
         attempts++;

@@ -1,22 +1,21 @@
 /**
  * @file
- * Tests for the tiered KV-cache pool: residency bitmaps, host/disk
- * offload round-trips, shared-page pinning, prefetch lookahead and
- * tier-capacity accounting (spills, LRU drops) under churn.
+ * Tests for the tiered KV-cache pool: host/disk offload round-trips
+ * (residency read from the hot page table's holes), shared-page
+ * pinning, the resume mark, prefetch lookahead and tier-capacity
+ * accounting (spills, LRU drops) under churn.
  */
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "kvcache/paged_cache.h"
-#include "kvcache/residency.h"
 #include "kvcache/tiered_cache.h"
 
 namespace bitdec {
 namespace {
 
 using kv::PagedHeadCache;
-using kv::ResidencyBitmap;
 using kv::TieredConfig;
 using kv::TieredPagePool;
 using kv::TierSpec;
@@ -25,75 +24,6 @@ std::vector<Half>
 tokenVec(int d, float value)
 {
     return std::vector<Half>(static_cast<std::size_t>(d), Half(value));
-}
-
-// ------------------------------------------------- residency bitmap ----
-
-TEST(ResidencyBitmap, SetClearTestAndCompleteness)
-{
-    ResidencyBitmap bm;
-    EXPECT_EQ(bm.sizeInBits(), 0);
-    EXPECT_TRUE(bm.isComplete()); // vacuously: nothing tracked
-
-    bm.resizeBits(10);
-    EXPECT_FALSE(bm.isComplete()); // fresh pages start non-resident
-    for (int i = 0; i < 10; i++)
-        EXPECT_FALSE(bm.testBit(i));
-
-    for (int i = 0; i < 10; i++)
-        bm.setBit(i);
-    EXPECT_TRUE(bm.isComplete());
-    EXPECT_EQ(bm.countSet(), 10);
-
-    bm.clearBit(7);
-    EXPECT_FALSE(bm.isComplete());
-    EXPECT_FALSE(bm.testBit(7));
-    EXPECT_TRUE(bm.testBit(6));
-    EXPECT_EQ(bm.countSet(), 9);
-}
-
-TEST(ResidencyBitmap, RangeQueriesAreInclusive)
-{
-    ResidencyBitmap bm;
-    bm.resizeBits(16);
-    for (int i = 4; i <= 11; i++)
-        bm.setBit(i);
-    EXPECT_FALSE(bm.isAnythingEmptyInRng(4, 11));
-    EXPECT_TRUE(bm.isAnythingEmptyInRng(3, 11)); // bit 3 clear
-    EXPECT_TRUE(bm.isAnythingEmptyInRng(4, 12)); // bit 12 clear
-    EXPECT_EQ(bm.countSetInRng(4, 11), 8);
-    EXPECT_EQ(bm.countSetInRng(0, 15), 8);
-    EXPECT_EQ(bm.countSetInRng(5, 5), 1);
-    EXPECT_EQ(bm.countSetInRng(0, 3), 0);
-}
-
-TEST(ResidencyBitmap, RegrowClearsStaleTailBits)
-{
-    // Shrinking leaves the old bits in the byte buffer; growing back must
-    // not resurrect them as "resident".
-    ResidencyBitmap bm;
-    bm.resizeBits(8);
-    for (int i = 0; i < 8; i++)
-        bm.setBit(i);
-    bm.resizeBits(3);
-    EXPECT_EQ(bm.sizeInBits(), 3);
-    EXPECT_TRUE(bm.isComplete());
-    bm.resizeBits(8);
-    EXPECT_EQ(bm.countSet(), 3);
-    for (int i = 3; i < 8; i++)
-        EXPECT_FALSE(bm.testBit(i)) << "stale bit " << i << " resurrected";
-    EXPECT_FALSE(bm.isComplete());
-}
-
-TEST(ResidencyBitmap, TouchBookkeeping)
-{
-    ResidencyBitmap bm;
-    EXPECT_EQ(bm.accessCount(), 0);
-    EXPECT_EQ(bm.accessTime(), 0.0);
-    bm.touch(1.5);
-    bm.touch(4.25);
-    EXPECT_EQ(bm.accessCount(), 2);
-    EXPECT_EQ(bm.accessTime(), 4.25);
 }
 
 // ---------------------------------------------------- tiered pool ------
@@ -138,7 +68,7 @@ TEST(TieredPool, DisabledWithNoTiers)
     fillSeq(cache, seq, 4);
     EXPECT_EQ(pool.offloadSequence(seq, 0.0, {}).moved, 0);
     EXPECT_FALSE(pool.tracked(seq));
-    EXPECT_TRUE(pool.fullyResident(seq));
+    EXPECT_EQ(cache.missingPages(seq), 0);
 }
 
 TEST(TieredPool, OffloadRestoreRoundTripPreservesPayload)
@@ -160,8 +90,8 @@ TEST(TieredPool, OffloadRestoreRoundTripPreservesPayload)
     EXPECT_EQ(cache.length(seq), 8); // the sequence itself stays live
     EXPECT_EQ(pool.coldPages(seq), 4);
     EXPECT_EQ(pool.tierUsedPages(0), 4);
-    EXPECT_FALSE(pool.fullyResident(seq));
-    EXPECT_TRUE(pool.isAnythingEmptyInRng(seq, 0, 3));
+    EXPECT_EQ(cache.missingPages(seq, 0, 3), 4);
+    EXPECT_EQ(cache.missingPages(seq, 2, 2), 1);
     EXPECT_EQ(pool.stats().offloaded_pages, 4);
 
     const kv::FetchResult fr = pool.fetchRange(seq, 0, 7, 2.0);
@@ -170,8 +100,7 @@ TEST(TieredPool, OffloadRestoreRoundTripPreservesPayload)
     EXPECT_EQ(fr.status, kv::CacheStatus::Ok);
     EXPECT_EQ(cache.missingPages(seq), 0);
     EXPECT_EQ(pool.tierUsedPages(0), 0);
-    EXPECT_TRUE(pool.fullyResident(seq));
-    EXPECT_FALSE(pool.isAnythingEmptyInRng(seq, 0, 3));
+    EXPECT_EQ(cache.missingPages(seq, 0, 3), 0);
     EXPECT_EQ(pool.stats().fetched_pages, 4);
 
     // Byte-identical payload after the round trip.
@@ -180,6 +109,40 @@ TEST(TieredPool, OffloadRestoreRoundTripPreservesPayload)
     for (std::size_t t = 0; t < after.dim(0); t++)
         for (std::size_t d = 0; d < after.dim(1); d++)
             EXPECT_EQ(after.at(t, d).bits(), before.at(t, d).bits());
+}
+
+TEST(TieredPool, ResumeMarkIsSetByMovingOffloadsAndDroppedOnForget)
+{
+    PagedHeadCache cache(4, 2, 8);
+    TieredPagePool pool(cache, tinyTiers(8));
+
+    // An offload that moves pages marks one resume, taken exactly once.
+    const int seq = cache.addSequence();
+    fillSeq(cache, seq, 4); // 2 pages
+    EXPECT_FALSE(pool.takeResumeMark(seq)); // untracked: no mark
+    ASSERT_EQ(pool.offloadSequence(seq, 1.0, {}).moved, 2);
+    // A second offload moves nothing and leaves the one mark as it is.
+    ASSERT_EQ(pool.offloadSequence(seq, 1.5, {}).moved, 0);
+    ASSERT_EQ(pool.fetchRange(seq, 0, 3, 2.0).restored, 2);
+    EXPECT_TRUE(pool.takeResumeMark(seq));
+    EXPECT_FALSE(pool.takeResumeMark(seq));
+
+    // An offload that moves nothing (every page shared) marks nothing,
+    // though it leaves the sequence tracked.
+    ASSERT_TRUE(cache.publishPrefix(0xF00Dull, seq, 4));
+    const int consumer = cache.addSequenceWithPrefix(0xF00Dull);
+    ASSERT_EQ(pool.offloadSequence(consumer, 3.0, {}).moved, 0);
+    EXPECT_TRUE(pool.tracked(consumer));
+    EXPECT_FALSE(pool.takeResumeMark(consumer));
+
+    // forgetSequence drops an unresolved mark with the record.
+    const int other = cache.addSequence();
+    fillSeq(cache, other, 4, 10.0f);
+    ASSERT_EQ(pool.offloadSequence(other, 4.0, {}).moved, 2);
+    pool.forgetSequence(other);
+    EXPECT_FALSE(pool.tracked(other));
+    EXPECT_FALSE(pool.takeResumeMark(other));
+    EXPECT_EQ(pool.tierUsedPages(0), 0);
 }
 
 TEST(TieredPool, SharedPrefixPagesPinnedHot)
@@ -420,9 +383,8 @@ TEST(TieredPool, CapacityAccountingUnderChurn)
 
 TEST(TieredPool, FetchAfterSequenceGrewSinceOffload)
 {
-    // The record's residency view is sized at offload time; a sequence
-    // that appended more (hot) pages since must still fetch its cold
-    // prefix cleanly and end fully resident.
+    // A sequence that appended more (hot) pages since its offload must
+    // still fetch its cold prefix cleanly and end fully resident.
     PagedHeadCache cache(4, 2, 8);
     TieredPagePool pool(cache, tinyTiers(8));
     const int seq = cache.addSequence();
@@ -435,13 +397,14 @@ TEST(TieredPool, FetchAfterSequenceGrewSinceOffload)
     ASSERT_TRUE(cache.append(seq, tokenVec(4, 51.0f), tokenVec(4, 51.5f)));
     EXPECT_EQ(cache.length(seq), 10);
     EXPECT_TRUE(cache.pageResident(seq, 4));
-    EXPECT_FALSE(pool.fullyResident(seq));
+    EXPECT_EQ(cache.missingPages(seq), 4);
+    EXPECT_EQ(cache.missingPages(seq, 3, 99), 1); // clipped to the table
 
     // Fetch over the grown range: only the 4 cold pages move.
     const kv::FetchResult fr = pool.fetchRange(seq, 0, 9, 2.0);
     EXPECT_EQ(fr.restored, 4);
     EXPECT_EQ(fr.status, kv::CacheStatus::Ok);
-    EXPECT_TRUE(pool.fullyResident(seq));
+    EXPECT_EQ(cache.missingPages(seq), 0);
     EXPECT_EQ(pool.tierUsedPages(0), 0);
     // Old payload byte-identical, the growth untouched.
     const auto after = cache.gatherKeys(seq);
